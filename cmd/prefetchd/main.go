@@ -160,6 +160,13 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 // quiesced and closed — in that order, so no demand traffic races the
 // engine teardown.
 func run(cfg *Config) error {
+	// The handler goes in before the listener opens: a signal that
+	// arrives once the daemon is reachable must drain it, never kill it
+	// by the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	srv, err := NewServer(cfg, log.Printf)
 	if err != nil {
 		return err
@@ -169,14 +176,12 @@ func run(cfg *Config) error {
 		srv.Shutdown(context.Background())
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	log.Printf("prefetchd: serving on %s (%d spaces)", ln.Addr(), len(cfg.Spaces))
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		log.Printf("prefetchd: %v: draining", sig)
@@ -197,4 +202,26 @@ func run(cfg *Config) error {
 	srv.Shutdown(ctx)
 	log.Printf("prefetchd: stopped")
 	return nil
+}
+
+// Connection limits of the daemon's HTTP server. A client that stalls
+// while sending its header, or idles on a keep-alive connection, is
+// disconnected instead of holding the connection indefinitely; a
+// header beyond maxHeaderBytes (request line included, so a /batch id
+// list counts) is refused with 431.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server carrying
+// the connection limits above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }

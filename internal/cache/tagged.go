@@ -29,14 +29,15 @@ import (
 // compensating for the tagged occupants model B assumes were displaced
 // by prefetched items.
 //
-// Estimator is safe for concurrent use: a live engine reports demand
+// Estimator is safe for concurrent use: callers may report demand
 // hits, remote fetches, prefetch completions and evictions from
 // different goroutines. The tag state is striped across several
-// independently-locked maps keyed by id, and the counters are atomics,
-// so a sharded engine's hot paths do not serialise on one estimator
-// lock. Each id's tag transitions stay ordered (one stripe owns each
-// id); the aggregate counters are only ever read as a ratio, for which
-// atomic adds suffice.
+// independently-locked maps keyed by id, and the counters are atomics.
+// Each id's tag transitions stay ordered (one stripe owns each id); the
+// aggregate counters are only ever read as a ratio, for which atomic
+// adds suffice. A caller that already tracks which entries are
+// prefetched and not yet used — the prefetcher engine's shards do —
+// keeps the tag state itself and drives only the counters (OnAccess).
 type Estimator struct {
 	stripes [estimatorStripes]estimatorStripe
 	naccess atomic.Int64
@@ -94,19 +95,12 @@ func (e *Estimator) OnHit(id ID) (wasTagged bool) {
 	}
 	s.mu.Unlock()
 
-	e.naccess.Add(1)
-	if !known {
-		// The entry predates the estimator (e.g. warm-up admission
-		// before estimation started). Treat it as tagged: a no-prefetch
-		// cache would hold it too.
-		e.nhit.Add(1)
-		return true
-	}
-	if t {
-		e.nhit.Add(1)
-		return true
-	}
-	return false
+	// An unknown entry predates the estimator (e.g. warm-up admission
+	// before estimation started). Treat it as tagged: a no-prefetch
+	// cache would hold it too.
+	wasTagged = !known || t
+	e.OnAccess(wasTagged)
+	return wasTagged
 }
 
 // OnRemoteAccess records a user request that missed the cache and was
@@ -119,7 +113,21 @@ func (e *Estimator) OnRemoteAccess(id ID, admitted bool) {
 		s.tagged[id] = true
 		s.mu.Unlock()
 	}
+	e.OnAccess(false)
+}
+
+// OnAccess is the counter half of the algorithm, for a caller that
+// keeps the tag state itself: it counts one user request (naccess++)
+// and, when tagged, one request a no-prefetch cache would also have
+// served (nhit++). A caller's "untagged" set is its prefetched entries
+// not yet used, so a request is tagged exactly when it was a hit that
+// consumed no such entry. naccess is bumped first, keeping
+// nhit ≤ naccess at every instant (see EstimateA).
+func (e *Estimator) OnAccess(tagged bool) {
 	e.naccess.Add(1)
+	if tagged {
+		e.nhit.Add(1)
+	}
 }
 
 // OnEvict forgets the tag state of an evicted entry.

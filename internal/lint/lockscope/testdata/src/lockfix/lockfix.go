@@ -153,7 +153,7 @@ func (s *shard) consumeLocked(id uint64) []byte {
 	return v
 }
 
-// UnlockInCallee releases a lock its caller took — the serveResident
+// UnlockInCallee releases a lock its caller took — a lock
 // handoff. Not flagged: unlocking an unheld lock is the caller-holds
 // convention.
 func (s *shard) UnlockInCallee(id uint64) []byte {

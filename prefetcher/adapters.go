@@ -9,12 +9,133 @@ import (
 	"repro/internal/predict"
 )
 
+// --- The engine's predictor seam ----------------------------------------
+
+// predictSeam is the engine's one view of its access model, chosen once
+// at New. observe feeds one request's id; observeSession feeds a
+// GetMulti session's ids as one linearised sequence — the stream N
+// singleton Gets would produce. Both return up to k candidates
+// conditioned on the last id, staged in the request's pooled buffers
+// (k == 0 observes only).
+type predictSeam interface {
+	observe(id ID, k int, bufs *candBufs) []predict.Prediction
+	observeSession(ids []ID, k int, bufs *candBufs) []predict.Prediction
+	// lockFree reports whether calls bypass the compatibility mutex
+	// (Stats.PredictorLockFree).
+	lockFree() bool
+}
+
+// newPredictSeam normalises the configured predictor: built-ins drive
+// their coupled observe-and-predict call directly, every other
+// predictor goes through pluginSeam.
+func newPredictSeam(p Predictor) predictSeam {
+	if ip, ok := p.(internalPredictor); ok {
+		if cp, ok := ip.internal().(predict.CoupledPredictor); ok {
+			return coupledSeam{cp}
+		}
+	}
+	return newPluginSeam(p)
+}
+
+// coupledSeam runs a built-in concurrent model lock-free. Each call
+// observes and predicts in one step, conditioned on the observed id
+// itself, so a racing Get that moves the shared stream context between
+// an observation and a prediction cannot hand this request another
+// request's candidates. A session's intermediate ids observe with
+// k = 0, which keeps each observation atomic with respect to racing
+// Gets exactly as for singleton requests.
+type coupledSeam struct{ p predict.CoupledPredictor }
+
+func (s coupledSeam) observe(id ID, k int, bufs *candBufs) []predict.Prediction {
+	return s.p.ObserveAndPredictTopInto(cache.ID(id), k, bufs.cands[:0])
+}
+
+func (s coupledSeam) observeSession(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	last := len(ids) - 1
+	for _, id := range ids[:last] {
+		s.p.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
+	}
+	return s.observe(ids[last], k, bufs)
+}
+
+func (coupledSeam) lockFree() bool { return true }
+
+// pluginSeam adapts an external Predictor. Its TopInto/Top/Predict
+// choice is made once, at construction: the engine never dispatches
+// more than k candidates, so a predictor that can produce just its top
+// k skips sorting its whole distribution. A ConcurrentPredictor is
+// called directly; any other plugin runs under mu, the compatibility
+// mutex — a request's Observe and the prediction that plans it in one
+// critical section, a whole GetMulti session's observations in one —
+// so it sees one globally interleaved request stream.
+type pluginSeam struct {
+	p          Predictor
+	top        func(dst []Prediction, k int) []Prediction
+	concurrent bool
+	mu         sync.Mutex
+}
+
+func newPluginSeam(p Predictor) *pluginSeam {
+	s := &pluginSeam{p: p}
+	_, s.concurrent = p.(ConcurrentPredictor)
+	switch tp := p.(type) {
+	case TopIntoPredictor:
+		s.top = tp.PredictTopInto
+	case TopPredictor:
+		s.top = func(_ []Prediction, k int) []Prediction { return tp.PredictTop(k) }
+	default:
+		s.top = func([]Prediction, int) []Prediction { return p.Predict() }
+	}
+	return s
+}
+
+func (s *pluginSeam) observe(id ID, k int, bufs *candBufs) []predict.Prediction {
+	ids := [1]ID{id}
+	return s.observeSession(ids[:], k, bufs)
+}
+
+func (s *pluginSeam) observeSession(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	if s.concurrent {
+		return s.observeLocked(ids, k, bufs)
+	}
+	s.mu.Lock()
+	cands := s.observeLocked(ids, k, bufs)
+	s.mu.Unlock()
+	return cands
+}
+
+func (s *pluginSeam) lockFree() bool { return s.concurrent }
+
+// observeLocked observes ids in order and converts the top k
+// predictions after the last one into the engine's candidate buffer.
+// Called with mu held for plain plugins.
+func (s *pluginSeam) observeLocked(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	for _, id := range ids {
+		s.p.Observe(id)
+	}
+	if k == 0 {
+		return nil
+	}
+	preds := s.top(bufs.pub[:0], k)
+	if len(preds) > k {
+		// Both the policies and the engine's cap only ever admit a
+		// prefix of the sorted candidates, so the tail can never be
+		// dispatched; dropping it here keeps the conversion inside the
+		// pooled buffer's capacity.
+		preds = preds[:k]
+	}
+	cands := bufs.cands[:0]
+	for _, p := range preds {
+		cands = append(cands, predict.Prediction{Item: cache.ID(p.ID), Prob: p.Prob})
+	}
+	return cands
+}
+
 // --- Predictor adapters over internal/predict ---------------------------
 
 // internalPredictor is how the engine unwraps built-in predictors at
-// construction: it talks to the internal model directly, so the wrapped
-// model's TopPredictor and ConcurrentPredictor capabilities survive the
-// public round trip with no per-call conversion.
+// construction (newPredictSeam): it talks to the internal model
+// directly, with no per-call conversion through the public types.
 type internalPredictor interface {
 	internal() predict.Predictor
 }

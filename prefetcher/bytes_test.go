@@ -298,24 +298,38 @@ func TestGetBytesClosedAndCancelled(t *testing.T) {
 
 // TestGetBytesAllocFree extends the PR 5 gate to the byte path: a
 // boxed-cache hit through GetBytes — prediction, accounting, planning
-// and the payload append into a reused buffer — allocates nothing.
+// and the payload append into a reused buffer — allocates nothing, and
+// neither does the GetBytesLen probe behind prefetchd's HEAD.
 // (The slab-backed equivalent is gated in prefetcher/bytestore.)
 func TestGetBytesAllocFree(t *testing.T) {
 	eng, ids := newByteHitEngine(t)
 	defer eng.Close()
 	ctx := context.Background()
 	dst := make([]byte, 0, 256)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		var err error
-		dst, err = eng.GetBytes(ctx, ids[i%len(ids)], dst[:0])
-		if err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		name string
+		call func(id ID) error
+	}{
+		{"GetBytes", func(id ID) (err error) {
+			dst, err = eng.GetBytes(ctx, id, dst[:0])
+			return err
+		}},
+		{"GetBytesLen", func(id ID) error {
+			_, err := eng.GetBytesLen(ctx, id)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := c.call(ids[i%len(ids)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("cache-hit %s allocated %v times per call; want 0", c.name, allocs)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("cache-hit GetBytes allocated %v times per call; want 0", allocs)
 	}
 }
 

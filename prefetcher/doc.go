@@ -191,17 +191,19 @@
 //   - Lock order is acyclic (lockorder). The only compound edge the
 //     tree permits is shard.mu → Engine.qmu: a shard may push a
 //     speculative candidate onto the engine's queue while holding its
-//     own mutex. Everything else — estimator stripes, the controller's
-//     history mutex, the fabric's queue and backend-state locks, the
-//     demand-merge window's demandMerger.mu — is a
-//     leaf: no code acquires any lock while holding one of them, and no
-//     code acquires a shard mutex while holding any other lock. The
-//     batch path observes the same order by construction: gatherMulti
-//     holds at most one shard mutex at a time (keys are grouped so each
-//     shard's classification completes before the next lock), and batch
-//     completion re-locks each key's shard individually. Lock
-//     handoffs (serveResident unlocking the shard mutex its caller
-//     took) are modelled, not waived.
+//     own mutex. Everything else — the controller's history mutex, a
+//     plain predictor's compatibility mutex, the fabric's queue and
+//     backend-state locks, the demand-merge window's demandMerger.mu —
+//     is a leaf: no code acquires any lock while holding one of them,
+//     and no code acquires a shard mutex while holding any other lock.
+//     The §4 ĥ′ estimate needs no lock of its own: it is counted from
+//     the shard's unused bit, which the hit lookup reads under the
+//     shard mutex anyway. The batch path observes the same order by
+//     construction: gatherMulti holds at most one shard mutex at a
+//     time (keys are grouped so each shard's classification completes
+//     before the next lock), and batch completion re-locks each key's
+//     shard individually. No function releases a lock its caller took:
+//     the hit lookup returns under the lock and its caller unlocks.
 //   - A field accessed through sync/atomic is atomic everywhere
 //     (atomicmix). Ownership per hot struct: the per-shard counter
 //     block, the controller's EWMA and rate words, and the fabric's

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/cache"
 	"repro/internal/predict"
 	"repro/internal/prefetch"
 	"repro/prefetcher/fetch"
@@ -48,11 +47,17 @@ type flight struct {
 	refs    atomic.Int32
 }
 
-// resolveLocked publishes the flight's outcome: joiners, if any are
-// waiting, are woken by closing done. Called with the owning shard's
-// mutex held, after the flight has been removed from the in-flight
-// table — no new joiner can appear afterwards, so waiters is final.
-func (f *flight) resolveLocked() {
+// resolveLocked retires f as id's in-flight fetch and publishes its
+// outcome: err, or f.item when err is nil. The table entry is deleted
+// only while it is still f. Joiners, if any are waiting, are woken by
+// closing done; once f is out of the table no new joiner can appear,
+// so waiters is final. Called with sh.mu held.
+func (sh *shard) resolveLocked(id ID, f *flight, err error) {
+	if sh.inflight[id] == f {
+		delete(sh.inflight, id)
+		sh.inflightN.Add(-1)
+	}
+	f.err = err
 	if f.waiters > 0 {
 		f.closed = true
 		close(f.done)
@@ -87,8 +92,8 @@ type batchJob struct {
 
 // candBufs is the per-request scratch a Get borrows from the engine's
 // buffer pool: prediction candidates land in cands, and pub stages the
-// public-type conversion for external predictors. Pooling these is what
-// makes the predict step of the hot path allocation-free.
+// public-type conversion for external predictors (pluginSeam). Pooling
+// these is what makes the predict step of the hot path allocation-free.
 type candBufs struct {
 	cands []predict.Prediction
 	pub   []Prediction
@@ -111,8 +116,8 @@ type candBufs struct {
 // of the shard count. The shared access model is global too, but not
 // serialised: predictors implementing ConcurrentPredictor (every
 // built-in) are called lock-free from all shards at once, while plain
-// Predictor plugins run under a compatibility mutex (see
-// Stats.PredictorLockFree).
+// Predictor plugins run under a compatibility mutex inside their seam
+// adapter (see pluginSeam and Stats.PredictorLockFree).
 type Engine struct {
 	fetcher Fetcher
 	// fabric is the multi-backend fetch fabric (WithBackends, or a
@@ -126,23 +131,11 @@ type Engine struct {
 	// type-assert per session. nil when the fetcher doesn't batch or
 	// when a fabric is set (the fabric carries its own batch seam).
 	batchFetcher BatchFetcher
-	pred         Predictor
-	predTop      TopPredictor // non-nil when pred supports bounded top-k prediction
-	// predTopInto is the zero-allocation variant for external
-	// predictors that implement it.
-	predTopInto TopIntoPredictor
-	ipred       predict.Predictor // non-nil fast path when pred wraps an internal predictor
-	// ipredCoupled couples observe+predict in one call on the lock-free
-	// path, so each request's candidates are conditioned on that request
-	// — not on whatever a racing Get observed in between.
-	ipredCoupled predict.CoupledPredictor
-	ipredTop     predict.TopPredictor // non-nil when ipred supports bounded top-k prediction
-	// ipredTopInto is ipredTop's buffer-reusing form (every concurrent
-	// built-in implements it).
-	ipredTopInto predict.TopIntoPredictor
-	predFree     bool // predictor is concurrent: predMu is never taken
+	// pred is the access model, normalised once at New (newPredictSeam).
+	pred predictSeam
 	// predName is captured at New: Name() on a plain Predictor is only
-	// guaranteed safe under predMu, and Stats must not take that lock.
+	// guaranteed safe under its compatibility mutex, and Stats must not
+	// take that lock.
 	predName    string
 	clock       Clock
 	policy      prefetch.Policy
@@ -153,15 +146,6 @@ type Engine struct {
 	hook        func(Event)
 
 	epoch time.Time // clock origin for the controller's float64 seconds
-
-	// predMu is the compatibility path for plain (single-threaded)
-	// Predictor plugins: Observe and the Predict that plans each request
-	// run in one critical section, so such a model sees one globally
-	// interleaved request stream. Predictors that implement the
-	// ConcurrentPredictor contract (every built-in) are
-	// called directly — predFree is set and this mutex is never taken,
-	// removing the engine's last global serialisation point.
-	predMu sync.Mutex
 
 	shards     []*shard
 	shardShift uint
@@ -250,7 +234,8 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		fetcher:     fetcher,
-		pred:        cfg.predictor,
+		pred:        newPredictSeam(cfg.predictor),
+		predName:    cfg.predictor.Name(),
 		clock:       cfg.clock,
 		policy:      cfg.policy.p,
 		model:       cfg.policy.model.analytic(),
@@ -265,36 +250,6 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		shards:      make([]*shard, cfg.shards),
 		shardShift:  uint(64 - bits.TrailingZeros(uint(cfg.shards))),
 	}
-	if pa, ok := cfg.predictor.(internalPredictor); ok {
-		// Skip the public-type round trip for the built-in predictors:
-		// their candidates are consumed as internal predictions anyway.
-		e.ipred = pa.internal()
-		// Every policy admits a prefix of the sorted candidates and the
-		// engine truncates to maxPrefetch, so candidates beyond the cap
-		// can never be dispatched — a predictor that can produce just
-		// the top maxPrefetch skips sorting its whole distribution. The
-		// same dispatch rule applies to external predictors through the
-		// public TopPredictor interface below.
-		if tp, ok := e.ipred.(predict.TopPredictor); ok {
-			e.ipredTop = tp
-		}
-		if tp, ok := e.ipred.(predict.TopIntoPredictor); ok {
-			e.ipredTopInto = tp
-		}
-		_, e.predFree = e.ipred.(predict.ConcurrentPredictor)
-		if e.predFree {
-			e.ipredCoupled, _ = e.ipred.(predict.CoupledPredictor)
-		}
-	} else {
-		if tp, ok := cfg.predictor.(TopPredictor); ok {
-			e.predTop = tp
-		}
-		if tp, ok := cfg.predictor.(TopIntoPredictor); ok {
-			e.predTopInto = tp
-		}
-		_, e.predFree = cfg.predictor.(ConcurrentPredictor)
-	}
-	e.predName = cfg.predictor.Name()
 	e.flightPool.New = func() any {
 		f := &flight{}
 		f.refs.Store(1)
@@ -306,13 +261,11 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	if bufCap < 1 {
 		bufCap = 1
 	}
-	needPub := e.ipred == nil // only external predictors stage public predictions
 	e.bufPool.New = func() any {
-		b := &candBufs{cands: make([]predict.Prediction, 0, bufCap)}
-		if needPub {
-			b.pub = make([]Prediction, 0, bufCap)
+		return &candBufs{
+			cands: make([]predict.Prediction, 0, bufCap),
+			pub:   make([]Prediction, 0, bufCap),
 		}
-		return b
 	}
 	for i := range e.shards {
 		var c Cache
@@ -437,6 +390,17 @@ func (e *Engine) putBufs(b *candBufs) { e.bufPool.Put(b) }
 //
 //prefetch:hotpath
 func (e *Engine) Get(ctx context.Context, id ID) (Item, error) {
+	var s sink
+	return e.get(ctx, id, &s)
+}
+
+// get is the one singleton request pipeline behind Get, GetBytes and
+// GetBytesLen, which differ only in the sink a hit lands in: observe
+// and predict, serve id, and plan speculation once the request is
+// served.
+//
+//prefetch:hotpath
+func (e *Engine) get(ctx context.Context, id ID, s *sink) (Item, error) {
 	if err := ctx.Err(); err != nil {
 		return Item{}, err
 	}
@@ -445,28 +409,30 @@ func (e *Engine) Get(ctx context.Context, id ID) (Item, error) {
 	}
 	now := e.now()
 	bufs := e.getBufs()
-	cands := e.observeAndPredict(id, bufs)
-	item, err := e.get(ctx, id, now, cands)
+	cands := e.pred.observe(id, e.maxPrefetch, bufs)
+	item, err := e.serve(ctx, id, now, cands, s)
 	// Nothing retains cands past dispatch (jobs carry ids, not
 	// candidate slices), so the scratch goes straight back.
 	e.putBufs(bufs)
 	return item, err
 }
 
-// get runs the shard-level part of one request: hit fast path, miss
-// dedup (join or claim), and dispatch.
-func (e *Engine) get(ctx context.Context, id ID, now float64, cands []predict.Prediction) (Item, error) {
+// serve runs the shard-level part of one request: the hit path under a
+// single critical section, else miss dedup (join or claim) and the
+// fetch. A served request plans its candidates even when its payload
+// then fails the sink (ErrNotBytes): the access happened.
+func (e *Engine) serve(ctx context.Context, id ID, now float64, cands []predict.Prediction, s *sink) (Item, error) {
 	sh := e.shardFor(id)
 	sh.mu.Lock()
 	if e.closed.Load() {
 		sh.mu.Unlock()
 		return Item{}, ErrClosed
 	}
-
-	// Hit fast path.
-	if v, ok := sh.cache.Get(id); ok {
-		//lint:allow lockscope lock handoff: serveResident unlocks after the resident bookkeeping
-		return e.serveResident(sh, id, now, v, true, cands), nil
+	if r, ok := sh.lookupLocked(id, s); ok {
+		sh.mu.Unlock()
+		e.landHit(sh, id, now, r, true)
+		e.schedule(cands)
+		return Item{ID: id, Size: r.size, Data: r.data}, r.err
 	}
 
 	// Miss: join the in-flight fetch for id if one exists, else claim
@@ -486,82 +452,46 @@ func (e *Engine) get(ctx context.Context, id ID, now float64, cands []predict.Pr
 	sh.misses.Add(1)
 	e.ctrl.RecordRequest(now, 0)
 
+	var item Item
+	var err error
 	if owner {
-		return e.demandFetch(ctx, sh, id, f, cands)
+		item, err = e.demandFetch(ctx, id, f)
+	} else {
+		sh.joins.Add(1) // one count per request, however many flights it retries
+		item, err = e.awaitJoined(ctx, sh, id, f, true)
 	}
-	sh.joins.Add(1) // one count per request, however many flights it retries
-
-	// Join in-flight fetches for the same id until one resolves, the
-	// item lands in cache, or no flight remains (then demand-fetch).
-	// The loop matters: while a failed join waits to re-acquire the
-	// lock, another request may have cached the item or registered a
-	// fresh flight, and overwriting that flight would break dedup.
-	for {
-		e.emit(Event{Type: EventJoin, ID: id})
-		item, err, resolved := e.awaitFlight(ctx, f)
-		if resolved {
-			if err != nil {
-				return Item{}, err
-			}
-			// The prefetched item beat this demand request to the
-			// origin: account it exactly like a first hit on an
-			// untagged entry. The arrival was recorded when the miss
-			// was established.
-			return e.finishJoined(sh, id, item, cands), nil
-		}
-		// The joined fetch failed or was dropped: re-check under the
-		// lock before fetching ourselves.
-		sh.mu.Lock()
-		if e.closed.Load() {
-			sh.mu.Unlock()
-			return Item{}, ErrClosed
-		}
-		if v, ok := sh.cache.Get(id); ok {
-			// Another request cached it while we waited. Serve it; the
-			// request stays counted as the miss it was on arrival.
-			//lint:allow lockscope lock handoff: serveResident unlocks after the resident bookkeeping
-			return e.serveResident(sh, id, now, v, false, cands), nil
-		}
-		f, owner = sh.joinOrRegister(e, id)
-		sh.mu.Unlock()
-		if owner {
-			return e.demandFetch(ctx, sh, id, f, cands)
-		}
+	if err != nil {
+		return Item{}, err
 	}
+	e.schedule(cands)
+	return item, s.land(item.Data)
 }
 
-// serveResident finishes a request whose item is resident: the
-// critical section is exactly the size/unused map touches (sh.mu is
-// held on entry and released here); the counter bumps and every
-// estimator/controller fold happen on atomics after the unlock. (OnHit
-// racing a concurrent eviction of the same id can then observe the
-// entry as already gone — the estimator adopts unknown ids as tagged,
-// so the ĥ′ ratio stays well-formed; the window is a few instructions
-// and vanishes once traffic quiesces.) recordArrival distinguishes the
-// hit fast path (arrival not yet recorded: counts the hit, folds the
-// full arrival, emits EventHit) from the joined-retry path, whose
-// arrival was recorded when its miss was established (size-only fold,
-// no event).
-func (e *Engine) serveResident(sh *shard, id ID, now float64, v any, recordArrival bool, cands []predict.Prediction) Item {
-	size := sh.residentSize(id)
-	used := sh.consumeUnusedLocked(id)
-	sh.mu.Unlock()
-	if recordArrival {
+// landHit is the one accounting tail for a request served without a
+// fetch of its own — from cache, or by a flight it joined — run after
+// the shard lock drops, on atomics. arrival marks a cache hit: the
+// request is counted and its arrival folded here with its size. A
+// joined request's arrival was recorded when its miss was established,
+// so it folds only the size. The §4 ĥ′ counters read the unused bit the
+// lookup consumed: a request served by a prefetched entry's first use
+// would have missed without prefetching, every other one would not.
+//
+//prefetch:hotpath
+func (e *Engine) landHit(sh *shard, id ID, now float64, r hit, arrival bool) {
+	if arrival {
 		sh.requests.Add(1)
 		sh.hits.Add(1)
 	}
-	if used {
+	if r.used {
 		sh.prefetchUsed.Add(1)
 	}
-	e.ctrl.Estimator().OnHit(cache.ID(id))
-	if recordArrival {
-		e.ctrl.RecordRequest(now, size)
-		e.emit(Event{Type: EventHit, ID: id})
-	} else {
-		e.ctrl.RecordSize(size)
+	e.ctrl.Estimator().OnAccess(!r.used)
+	if !arrival {
+		e.ctrl.RecordSize(r.size)
+		return
 	}
-	e.schedule(cands)
-	return Item{ID: id, Size: size, Data: v}
+	e.ctrl.RecordRequest(now, r.size)
+	e.emit(Event{Type: EventHit, ID: id})
 }
 
 // joinOrRegister returns the in-flight fetch for id (taking a joiner
@@ -573,86 +503,16 @@ func (sh *shard) joinOrRegister(e *Engine, id ID) (f *flight, owner bool) {
 		f.refs.Add(1)
 		return f, false
 	}
-	f = e.newFlight()
+	return sh.registerLocked(e, id), true
+}
+
+// registerLocked registers a fresh flight as id's in-flight fetch.
+// Called with sh.mu held.
+func (sh *shard) registerLocked(e *Engine, id ID) *flight {
+	f := e.newFlight()
 	sh.inflight[id] = f
 	sh.inflightN.Add(1)
-	return f, true
-}
-
-// observeAndPredict feeds the request into the shared access model and
-// returns the candidate set for planning, staged in the request's
-// pooled buffers. A concurrent predictor (predFree) is called directly
-// — Gets on every shard observe and predict in parallel, and the model
-// itself linearises the stream it learns from — while a plain predictor
-// runs in one predMu critical section so it sees one globally
-// interleaved request stream, exactly as under the old single-mutex
-// engine. Candidates are only dispatched if the request ultimately
-// succeeds, matching the old plan-on-serve behaviour.
-func (e *Engine) observeAndPredict(id ID, bufs *candBufs) []predict.Prediction {
-	if e.predFree {
-		if e.ipredCoupled != nil {
-			// The built-in concurrent models predict as part of the
-			// observation, conditioned on id itself — so a racing Get
-			// moving the shared stream context between an Observe and a
-			// PredictTop cannot hand this request another request's
-			// candidates.
-			return e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(id), e.maxPrefetch, bufs.cands[:0])
-		}
-		return e.observeAndPredictLocked(id, bufs)
-	}
-	e.predMu.Lock()
-	cands := e.observeAndPredictLocked(id, bufs)
-	e.predMu.Unlock()
-	return cands
-}
-
-// observeAndPredictLocked is the predictor dispatch shared by both
-// paths: with predMu held for plain predictors, with no lock at all for
-// ConcurrentPredictors. Predictors that support bounded top-k get
-// PredictTop(maxPrefetch) — or its buffer-reusing PredictTopInto form —
-// since the engine never dispatches more than maxPrefetch candidates.
-func (e *Engine) observeAndPredictLocked(id ID, bufs *candBufs) []predict.Prediction {
-	if e.ipred != nil {
-		e.ipred.Observe(cache.ID(id))
-		if e.maxPrefetch == 0 {
-			return nil
-		}
-		if e.ipredTopInto != nil {
-			return e.ipredTopInto.PredictTopInto(bufs.cands[:0], e.maxPrefetch)
-		}
-		if e.ipredTop != nil {
-			return e.ipredTop.PredictTop(e.maxPrefetch)
-		}
-		return e.ipred.Predict()
-	}
-	e.pred.Observe(id)
-	if e.maxPrefetch == 0 {
-		return nil
-	}
-	var preds []Prediction
-	switch {
-	case e.predTopInto != nil:
-		preds = e.predTopInto.PredictTopInto(bufs.pub[:0], e.maxPrefetch)
-	case e.predTop != nil:
-		preds = e.predTop.PredictTop(e.maxPrefetch)
-	default:
-		preds = e.pred.Predict()
-	}
-	if len(preds) == 0 {
-		return nil
-	}
-	if len(preds) > e.maxPrefetch {
-		// Both the policies and the engine's cap only ever admit a
-		// prefix of the sorted candidates, so the tail can never be
-		// dispatched; dropping it here keeps the conversion inside the
-		// pooled buffer's capacity.
-		preds = preds[:e.maxPrefetch]
-	}
-	cands := bufs.cands[:0]
-	for _, p := range preds {
-		cands = append(cands, predict.Prediction{Item: cache.ID(p.ID), Prob: p.Prob})
-	}
-	return cands
+	return f
 }
 
 // awaitFlight waits for an in-flight fetch this request joined,
@@ -674,82 +534,117 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 	return item, nil, true
 }
 
-// finishJoined completes a request served by the speculative fetch it
-// joined: the one estimator access the request gets, the
-// prefetched-unused consumption, the size fold and speculative
-// planning. The join path already emitted its event.
-func (e *Engine) finishJoined(sh *shard, id ID, item Item, cands []predict.Prediction) Item {
-	sh.mu.Lock()
-	used := sh.consumeUnusedLocked(id)
-	sh.mu.Unlock()
-	if used {
-		sh.prefetchUsed.Add(1)
-	}
-	e.ctrl.Estimator().OnHit(cache.ID(id))
-	e.ctrl.RecordSize(item.Size)
-	e.schedule(cands)
-	return Item{ID: id, Size: item.Size, Data: item.Data}
-}
-
-// demandFetch fetches id on the caller's goroutine; f is the flight the
-// caller registered for it. The arrival is already recorded.
-func (e *Engine) demandFetch(ctx context.Context, sh *shard, id ID, f *flight, cands []predict.Prediction) (Item, error) {
-	item, err := e.demandFetchOne(ctx, id)
-	item, err = e.completeDemand(sh, id, f, item, err)
-	if err != nil {
-		return Item{}, err
-	}
-	e.schedule(cands)
-	return item, nil
-}
-
-// demandFetchOne retrieves one id on the caller's goroutine through
-// whichever demand path the engine runs — the fetch fabric or the
-// plain fetcher.
-func (e *Engine) demandFetchOne(ctx context.Context, id ID) (Item, error) {
-	if e.fabric != nil {
-		return e.fabricDemandFetch(ctx, id)
-	}
-	return e.fetcher.Fetch(ctx, id)
-}
-
-// completeDemand lands one finished demand fetch for a flight this
-// caller owns: the flight is deregistered and resolved, the item
-// cached and accounted (or the error recorded) and the miss event
-// emitted outside the shard lock. Shared by the singleton demand path
-// and GetMulti's batched one, so both land a miss identically.
-func (e *Engine) completeDemand(sh *shard, id ID, f *flight, item Item, err error) (Item, error) {
-	if err != nil {
-		sh.mu.Lock()
-		if sh.inflight[id] == f {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
+// awaitJoined is the engine's one join-retry loop: it waits out a
+// request attached to an in-flight fetch — another request's flight,
+// or a GetMulti session's own merged flight, which emits no join event
+// until it retries as a plain join. A resolved flight serves the
+// request, consuming the unused marker a speculative flight landed
+// with. When the flight fails or is
+// dropped the request re-checks the shard under its lock, because
+// while it waited another request may have cached the item or
+// registered a fresh flight, and overwriting that flight would break
+// dedup; only when neither holds does it demand-fetch itself. The
+// payload is returned boxed, and the arrival was recorded by the
+// caller when the miss was established.
+func (e *Engine) awaitJoined(ctx context.Context, sh *shard, id ID, f *flight, emitJoin bool) (Item, error) {
+	var boxed sink
+	for {
+		if emitJoin {
+			e.emit(Event{Type: EventJoin, ID: id})
 		}
-		f.err = err
-		f.resolveLocked()
+		item, err, resolved := e.awaitFlight(ctx, f)
+		if resolved && err != nil {
+			return Item{}, err
+		}
+		sh.mu.Lock()
+		r, ok := hit{data: item.Data, size: item.Size}, resolved
+		switch {
+		case resolved:
+			r.used = sh.consumeUnusedLocked(id)
+		case e.closed.Load():
+			sh.mu.Unlock()
+			return Item{}, ErrClosed
+		default:
+			r, ok = sh.lookupLocked(id, &boxed)
+		}
+		if ok {
+			sh.mu.Unlock()
+			e.landHit(sh, id, 0, r, false)
+			return Item{ID: id, Size: r.size, Data: r.data}, nil
+		}
+		var owner bool
+		f, owner = sh.joinOrRegister(e, id)
 		sh.mu.Unlock()
-		e.releaseFlight(f)
-		return Item{}, err
+		if owner {
+			return e.demandFetch(ctx, id, f)
+		}
+		emitJoin = true
 	}
-	item.ID = id
-	if item.Size <= 0 {
-		item.Size = 1
+}
+
+// demandFetch fetches id on the caller's goroutine for the flight f it
+// owns — through the fetch fabric when one is configured, the plain
+// fetcher otherwise — and lands the outcome. The arrival is already
+// recorded.
+func (e *Engine) demandFetch(ctx context.Context, id ID, f *flight) (Item, error) {
+	var item Item
+	var err error
+	if e.fabric != nil {
+		var fi fetch.Item
+		fi, err = e.fabric.Fetch(ctx, fetch.ID(id))
+		item = itemOf(fi)
+	} else {
+		item, err = e.fetcher.Fetch(ctx, id)
+	}
+	return e.complete(id, f, item, err, false)
+}
+
+// complete lands one finished fetch for a flight its caller owns — the
+// engine's one flight completion, for demand and speculative fetches
+// alike. Under the shard lock the flight is deregistered and resolved
+// and, on success, the item cached (a speculative one marked
+// prefetched-unused); accounting and the event follow outside the lock.
+// A demand outcome is returned to its caller, which owns the error; a
+// failed speculative fetch (spec) is counted as a prefetch error.
+// Flights retired without a fetch — dropped, or failed at Close — pass
+// spec=false, which resolves them and accounts nothing.
+func (e *Engine) complete(id ID, f *flight, item Item, err error, spec bool) (Item, error) {
+	sh := e.shardFor(id)
+	if err == nil {
+		item.ID = id
+		if item.Size <= 0 {
+			item.Size = 1
+		}
 	}
 	sh.mu.Lock()
-	if sh.inflight[id] == f {
-		delete(sh.inflight, id)
-		sh.inflightN.Add(-1)
+	if err == nil {
+		sh.sizes[id] = item.Size
+		e.putCache(sh, id, item.Data)
+		if spec {
+			sh.unused[id] = struct{}{}
+		}
+		f.item = item
 	}
-	sh.sizes[id] = item.Size
-	e.putCache(sh, id, item.Data)
-	e.ctrl.Estimator().OnRemoteAccess(cache.ID(id), true)
-	f.item = item
-	f.resolveLocked()
+	sh.resolveLocked(id, f, err)
 	sh.mu.Unlock()
 	e.releaseFlight(f)
-
-	e.ctrl.RecordSize(item.Size)
-	e.emit(Event{Type: EventMiss, ID: id})
+	switch {
+	case err != nil:
+		if spec {
+			sh.prefetchErrors.Add(1)
+			e.emit(Event{Type: EventPrefetchError, ID: id, Err: err})
+		}
+		return Item{}, err
+	case spec:
+		e.ctrl.RecordPrefetch()
+		e.emit(Event{Type: EventPrefetchDone, ID: id})
+	default:
+		// A demand miss is §4's remote access: counted, never a
+		// no-prefetch hit.
+		e.ctrl.Estimator().OnAccess(false)
+		e.ctrl.RecordSize(item.Size)
+		e.emit(Event{Type: EventMiss, ID: id})
+	}
 	return item, nil
 }
 
@@ -792,17 +687,11 @@ func (e *Engine) enqueue(id ID, backend int) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	if sh.cache.Contains(id) {
+	if sh.presentLocked(id) {
 		sh.mu.Unlock()
 		return true
 	}
-	if _, ok := sh.inflight[id]; ok {
-		sh.mu.Unlock()
-		return true
-	}
-	f := e.newFlight()
-	sh.inflight[id] = f
-	sh.inflightN.Add(1)
+	f := sh.registerLocked(e, id)
 	select {
 	case e.jobs <- job{id: id, f: f, backend: backend}:
 		// Issued is bumped before the unlock: the worker cannot
@@ -814,10 +703,7 @@ func (e *Engine) enqueue(id ID, backend int) bool {
 		sh.mu.Unlock()
 		e.emit(Event{Type: EventPrefetchIssued, ID: id})
 	default: // queue full: shed, never block the demand path
-		delete(sh.inflight, id)
-		sh.inflightN.Add(-1)
-		f.err = errDropped
-		f.resolveLocked()
+		sh.resolveLocked(id, f, errDropped)
 		sh.mu.Unlock()
 		e.releaseFlight(f)
 		sh.prefetchDropped.Add(1)
@@ -849,54 +735,14 @@ func (e *Engine) runPrefetch(j job) {
 	var item Item
 	var err error
 	if e.fabric != nil {
-		fi, ferr := e.fabric.FetchSpeculative(e.baseCtx, j.backend, fetch.ID(j.id))
-		item, err = Item{ID: ID(fi.ID), Size: fi.Size, Data: fi.Data}, ferr
+		var fi fetch.Item
+		fi, err = e.fabric.FetchSpeculative(e.baseCtx, j.backend, fetch.ID(j.id))
+		item = itemOf(fi)
 	} else {
 		item, err = e.fetcher.Fetch(e.baseCtx, j.id)
 	}
-	e.completePrefetch(j.id, j.f, item, err)
+	e.complete(j.id, j.f, item, err, true)
 	e.specDone()
-}
-
-// completePrefetch lands one finished speculative fetch: the flight is
-// resolved, the item cached and accounted (or the error recorded), and
-// the event emitted outside the shard lock.
-func (e *Engine) completePrefetch(id ID, f *flight, item Item, err error) {
-	sh := e.shardFor(id)
-	var ev Event
-	if err != nil {
-		sh.mu.Lock()
-		if sh.inflight[id] == f {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
-		}
-		f.err = err
-		f.resolveLocked()
-		sh.mu.Unlock()
-		sh.prefetchErrors.Add(1)
-		ev = Event{Type: EventPrefetchError, ID: id, Err: err}
-	} else {
-		item.ID = id
-		if item.Size <= 0 {
-			item.Size = 1
-		}
-		sh.mu.Lock()
-		if sh.inflight[id] == f {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
-		}
-		sh.sizes[id] = item.Size
-		e.putCache(sh, id, item.Data)
-		e.ctrl.Estimator().OnPrefetch(cache.ID(id))
-		sh.unused[id] = struct{}{}
-		f.item = item
-		f.resolveLocked()
-		sh.mu.Unlock()
-		e.ctrl.RecordPrefetch()
-		ev = Event{Type: EventPrefetchDone, ID: id}
-	}
-	e.releaseFlight(f)
-	e.emit(ev)
 }
 
 // specAdd registers one queued speculative fetch with the quiesce
@@ -968,7 +814,7 @@ func (e *Engine) Stats() Stats {
 		// Lock-free is decided once at New: either the predictor carries
 		// the ConcurrentPredictor marker or every call goes through the
 		// compatibility mutex.
-		PredictorLockFree: e.predFree,
+		PredictorLockFree: e.pred.lockFree(),
 	}
 	for _, sh := range e.shards {
 		// Read order mirrors bump order in reverse: a consequence
@@ -1063,16 +909,7 @@ drain:
 				ids, fs = j.batch.ids, j.batch.fs
 			}
 			for i, id := range ids {
-				sh := e.shardFor(id)
-				sh.mu.Lock()
-				if sh.inflight[id] == fs[i] {
-					delete(sh.inflight, id)
-					sh.inflightN.Add(-1)
-				}
-				fs[i].err = ErrClosed
-				fs[i].resolveLocked()
-				sh.mu.Unlock()
-				e.releaseFlight(fs[i])
+				e.complete(id, fs[i], Item{}, ErrClosed, false)
 				e.specDone()
 			}
 			if j.batch != nil {

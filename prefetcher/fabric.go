@@ -12,8 +12,7 @@ import (
 // into the engine: construction from the configured backends, the
 // routed speculative dispatch path with per-link admission thresholds,
 // batch coalescing, and the idle-gate release callback. The demand
-// side is one branch in demandFetch — the fabric sits entirely behind
-// the Fetcher seam.
+// side is one branch in demandFetch.
 
 // fetcherAdapter lifts a public Fetcher to the fabric's vocabulary, so
 // a plain single-origin engine can still be given hedged retries and
@@ -87,11 +86,10 @@ func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) 
 	})
 }
 
-// fabricDemandFetch serves one demand fetch through the fabric.
-func (e *Engine) fabricDemandFetch(ctx context.Context, id ID) (Item, error) {
-	fi, err := e.fabric.Fetch(ctx, fetch.ID(id))
-	return Item{ID: ID(fi.ID), Size: fi.Size, Data: fi.Data}, err
-}
+// itemOf converts a fabric item to the public type.
+//
+//prefetch:hotpath
+func itemOf(fi fetch.Item) Item { return Item{ID: ID(fi.ID), Size: fi.Size, Data: fi.Data} }
 
 // routeScratch is the pooled planning state for one routed dispatch
 // pass: the per-backend partition and selection tables, the flattened
@@ -284,10 +282,9 @@ func (e *Engine) deferOrDispatch(b int, ids []ID) {
 		for _, id := range ids {
 			sh := e.shardFor(id)
 			sh.mu.Lock()
-			_, inflight := sh.inflight[id]
-			resident := sh.cache.Contains(id)
+			present := sh.presentLocked(id)
 			sh.mu.Unlock()
-			if !inflight && !resident {
+			if !present {
 				fids = append(fids, fetch.ID(id))
 			}
 		}
@@ -332,21 +329,17 @@ func (e *Engine) dispatchRouted(backend int, ids []ID) {
 		sh.mu.Lock()
 		if e.closed.Load() {
 			sh.mu.Unlock()
-			e.failBatch(bj, ErrClosed)
+			for i, id := range bj.ids {
+				e.complete(id, bj.fs[i], Item{}, ErrClosed, false)
+			}
 			e.putBatch(bj)
 			return
 		}
-		if sh.cache.Contains(id) {
+		if sh.presentLocked(id) {
 			sh.mu.Unlock()
 			continue
 		}
-		if _, ok := sh.inflight[id]; ok {
-			sh.mu.Unlock()
-			continue
-		}
-		f := e.newFlight()
-		sh.inflight[id] = f
-		sh.inflightN.Add(1)
+		f := sh.registerLocked(e, id)
 		sh.mu.Unlock()
 		bj.ids = append(bj.ids, id)
 		bj.fs = append(bj.fs, f)
@@ -417,42 +410,16 @@ func (e *Engine) finishEnqueue(j job) {
 		err = ErrClosed
 	}
 	for i, id := range ids {
-		sh := e.shardFor(id)
-		sh.mu.Lock()
-		if sh.inflight[id] == fs[i] {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
-		}
-		fs[i].err = err
-		fs[i].resolveLocked()
-		sh.mu.Unlock()
-		e.releaseFlight(fs[i])
+		e.complete(id, fs[i], Item{}, err, false)
 		e.specDone()
 		if !closed {
-			sh.prefetchDropped.Add(1)
+			e.shardFor(id).prefetchDropped.Add(1)
 			e.emit(Event{Type: EventPrefetchDropped, ID: id})
 		}
 	}
 	// The push failed, so no worker will ever own this batch.
 	if j.batch != nil {
 		e.putBatch(j.batch)
-	}
-}
-
-// failBatch deregisters and fails every flight already registered for
-// a batch that cannot be dispatched.
-func (e *Engine) failBatch(bj *batchJob, err error) {
-	for i, id := range bj.ids {
-		sh := e.shardFor(id)
-		sh.mu.Lock()
-		if sh.inflight[id] == bj.fs[i] {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
-		}
-		bj.fs[i].err = err
-		bj.fs[i].resolveLocked()
-		sh.mu.Unlock()
-		e.releaseFlight(bj.fs[i])
 	}
 }
 
@@ -492,9 +459,9 @@ func (e *Engine) runPrefetchBatch(bj *batchJob) {
 	for i, id := range bj.ids {
 		var item Item
 		if err == nil {
-			item = Item{ID: ID(items[i].ID), Size: items[i].Size, Data: items[i].Data}
+			item = itemOf(items[i])
 		}
-		e.completePrefetch(id, bj.fs[i], item, err)
+		e.complete(id, bj.fs[i], item, err, true)
 		e.specDone()
 	}
 	e.putBatch(bj)

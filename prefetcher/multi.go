@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/predict"
 	"repro/prefetcher/fetch"
 )
 
@@ -177,10 +175,10 @@ func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item
 	e.multiGets.Add(1)
 	now := e.now()
 	bufs := e.getBufs()
-	cands := e.observeMulti(ids, bufs)
+	cands := e.pred.observeSession(ids, e.maxPrefetch, bufs)
 	sc := e.getMulti()
-	misses := e.gatherMulti(ids, now, sc, nil)
-	if misses > 0 {
+	var s sink
+	if misses := e.gatherMulti(ids, now, sc, &s); misses > 0 {
 		e.fetchMultiMisses(ctx, ids, sc)
 	}
 	nerr := 0
@@ -217,73 +215,19 @@ func buildMultiError(ids []ID, states []multiKey, nerr int) error {
 	return &MultiError{Errors: errs}
 }
 
-// observeMulti feeds the session's ids into the shared access model as
-// one linearised sequence — the same observation stream N singleton
-// Gets would produce — and returns the candidate set predicted from
-// the session's last id (the session's one speculative plan).
-//
-//prefetch:hotpath
-func (e *Engine) observeMulti(ids []ID, bufs *candBufs) []predict.Prediction {
-	last := len(ids) - 1
-	if e.predFree {
-		if e.ipredCoupled != nil {
-			// k <= 0 observes without predicting: the intermediate ids
-			// extend the stream, only the last one plans. The coupled
-			// call keeps each observation atomic with respect to racing
-			// Gets, so chain conservation holds for the session exactly
-			// as it does per singleton request.
-			for _, id := range ids[:last] {
-				e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
-			}
-			return e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(ids[last]), e.maxPrefetch, bufs.cands[:0])
-		}
-		for _, id := range ids[:last] {
-			e.observeOnly(id)
-		}
-		return e.observeAndPredictLocked(ids[last], bufs)
-	}
-	// Plain predictor: the whole session is one predMu critical
-	// section, so no concurrent request can interleave inside the
-	// session's observation sequence.
-	e.predMu.Lock()
-	for _, id := range ids[:last] {
-		e.observeOnly(id)
-	}
-	cands := e.observeAndPredictLocked(ids[last], bufs)
-	e.predMu.Unlock()
-	return cands
-}
-
-// observeOnly records one intermediate session id with the access
-// model without asking for candidates.
-//
-//prefetch:hotpath
-func (e *Engine) observeOnly(id ID) {
-	if e.ipred != nil {
-		e.ipred.Observe(cache.ID(id))
-		return
-	}
-	e.pred.Observe(id)
-}
-
 // gatherMulti classifies the session's keys shard by shard: each pass
 // takes one shard's lock once and classifies every still-pending
-// session key living there — hits are served inside that single
-// critical section, misses either join the in-flight fetch for their
-// key or register this session's own flight (handed to the merge
-// window when one is configured). Counter bumps and estimator folds
-// happen after the locks drop, on atomics, each key bumping requests
-// before its outcome counter exactly like the singleton paths.
-// Returns how many keys still need the miss path.
-//
-// bsink selects the output mode: nil serves hits as boxed Items
-// (GetMulti); non-nil is GetMultiBytes' byte mode — hit payloads are
-// appended to *bsink inside the critical section (the slab view is
-// only stable under the shard lock) and located by off/blen in the
-// key's state.
+// session key living there — hits land in s through the same lookup a
+// singleton request uses, inside that single critical section; misses
+// either join the in-flight fetch for their key or register this
+// session's own flight (handed to the merge window when one is
+// configured). Counter bumps and estimator folds happen after the
+// locks drop, on atomics, each key bumping requests before its outcome
+// counter exactly like the singleton paths. A byte-mode hit is located
+// in s.buf by off/blen. Returns how many keys still need the miss path.
 //
 //prefetch:hotpath
-func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]byte) int {
+func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, s *sink) int {
 	states := sc.states[:0]
 	for _, id := range ids {
 		states = append(states, multiKey{sh: e.shardFor(id)})
@@ -297,18 +241,17 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]b
 		sh := states[i].sh
 		sh.mu.Lock()
 		for j := i; j < len(states); j++ {
-			if states[j].kind != mkPending || states[j].sh != sh {
+			st := &states[j]
+			if st.kind != mkPending || st.sh != sh {
 				continue
 			}
 			id := ids[j]
-			if bsink != nil {
-				if e.classifyBytesLocked(sh, id, &states[j], bsink) {
-					continue
-				}
-			} else if v, ok := sh.cache.Get(id); ok {
-				states[j].kind = mkHit
-				states[j].item = Item{ID: id, Size: sh.residentSize(id), Data: v}
-				states[j].used = sh.consumeUnusedLocked(id)
+			off := len(s.buf)
+			if r, ok := sh.lookupLocked(id, s); ok {
+				st.kind, st.used, st.err = mkHit, r.used, r.err
+				st.item = Item{ID: id, Size: r.size, Data: r.data}
+				st.off, st.blen = off, s.n
+				st.inBuf = s.mode == sinkBytes && r.err == nil
 				continue
 			}
 			f, owner := sh.joinOrRegister(e, id)
@@ -328,7 +271,7 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]b
 					k = mkMerged
 				}
 			}
-			states[j].kind, states[j].f = k, f
+			st.kind, st.f = k, f
 		}
 		sh.mu.Unlock()
 	}
@@ -336,29 +279,18 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]b
 	for i := range states {
 		st := &states[i]
 		sh := st.sh
-		switch st.kind {
-		case mkHit:
-			sh.requests.Add(1)
-			sh.hits.Add(1)
-			if st.used {
-				sh.prefetchUsed.Add(1)
-			}
-			e.ctrl.Estimator().OnHit(cache.ID(ids[i]))
-			e.ctrl.RecordRequest(now, st.item.Size)
-			e.emit(Event{Type: EventHit, ID: ids[i]})
+		if st.kind == mkHit {
+			e.landHit(sh, ids[i], now, hit{size: st.item.Size, used: st.used}, true)
 			st.kind = mkDone
-		case mkJoin:
-			sh.requests.Add(1)
-			sh.misses.Add(1)
-			sh.joins.Add(1)
-			e.ctrl.RecordRequest(now, 0)
-			misses++
-		default: // mkOwner, mkMerged
-			sh.requests.Add(1)
-			sh.misses.Add(1)
-			e.ctrl.RecordRequest(now, 0)
-			misses++
+			continue
 		}
+		sh.requests.Add(1)
+		sh.misses.Add(1)
+		if st.kind == mkJoin {
+			sh.joins.Add(1)
+		}
+		e.ctrl.RecordRequest(now, 0)
+		misses++
 	}
 	return misses
 }
@@ -388,7 +320,7 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 	for i := range states {
 		st := &states[i]
 		if st.kind == mkJoin || st.kind == mkMerged {
-			st.item, st.err = e.awaitJoined(ctx, ids[i], st.f, st.kind == mkJoin)
+			st.item, st.err = e.awaitJoined(ctx, st.sh, ids[i], st.f, st.kind == mkJoin)
 			st.kind = mkDone
 		}
 	}
@@ -426,7 +358,7 @@ func (e *Engine) dispatchMultiBackend(ctx context.Context, b int, ids []ID, sc *
 
 // runDemandBatch executes one backend's share of the session's misses
 // as a single coalesced demand batch and lands each key exactly as a
-// singleton demand fetch would (completeDemand: cache fill, size and
+// singleton demand fetch would (complete: cache fill, size and
 // estimator folds, flight resolution, per-key error).
 //
 //prefetch:hotpath
@@ -445,7 +377,7 @@ func (e *Engine) runDemandBatch(ctx context.Context, b int, gids []ID, gidx []in
 	states := sc.states
 	for i, id := range gids {
 		st := &states[gidx[i]]
-		st.item, st.err = e.completeDemand(st.sh, id, st.f, out[i], errs[i])
+		st.item, st.err = e.complete(id, st.f, out[i], errs[i], false)
 		st.kind = mkDone
 	}
 }
@@ -481,8 +413,7 @@ func (e *Engine) demandBatch(ctx context.Context, b int, gids []ID, out []Item, 
 		sc.fids, sc.fitems, sc.ferrs = fids, fitems, ferrs
 		e.fabric.FetchDemandBatch(ctx, b, fids, fitems, ferrs)
 		for i := range gids {
-			out[i] = Item{ID: ID(fitems[i].ID), Size: fitems[i].Size, Data: fitems[i].Data}
-			errs[i] = ferrs[i]
+			out[i], errs[i] = itemOf(fitems[i]), ferrs[i]
 		}
 		return
 	}
@@ -519,68 +450,6 @@ func (e *Engine) demandBatch(ctx context.Context, b int, gids []ID, out []Item, 
 		}
 		out[i], errs[i] = e.fetcher.Fetch(ctx, id)
 	}
-}
-
-// awaitJoined waits out one session key that attached to an in-flight
-// fetch (another request's flight, or this session's own merged
-// flight), retrying exactly like the singleton join loop: when the
-// joined flight fails, the key re-checks the cache under the lock and
-// — if no other flight appeared — fetches individually under the
-// session's context.
-func (e *Engine) awaitJoined(ctx context.Context, id ID, f *flight, emitJoin bool) (Item, error) {
-	sh := e.shardFor(id)
-	for {
-		if emitJoin {
-			e.emit(Event{Type: EventJoin, ID: id})
-		}
-		item, err, resolved := e.awaitFlight(ctx, f)
-		if resolved {
-			if err != nil {
-				return Item{}, err
-			}
-			return e.finishJoinedMulti(sh, id, item), nil
-		}
-		sh.mu.Lock()
-		if e.closed.Load() {
-			sh.mu.Unlock()
-			return Item{}, ErrClosed
-		}
-		if v, ok := sh.cache.Get(id); ok {
-			size := sh.residentSize(id)
-			used := sh.consumeUnusedLocked(id)
-			sh.mu.Unlock()
-			if used {
-				sh.prefetchUsed.Add(1)
-			}
-			e.ctrl.Estimator().OnHit(cache.ID(id))
-			e.ctrl.RecordSize(size)
-			return Item{ID: id, Size: size, Data: v}, nil
-		}
-		var owner bool
-		f, owner = sh.joinOrRegister(e, id)
-		sh.mu.Unlock()
-		if owner {
-			item, ferr := e.demandFetchOne(ctx, id)
-			return e.completeDemand(sh, id, f, item, ferr)
-		}
-		// From here on the key is a plain join, whatever it started as.
-		emitJoin = true
-	}
-}
-
-// finishJoinedMulti lands a session key served by the flight it
-// joined: the same folds as the singleton finishJoined, minus the
-// speculative planning — the session plans once, from its last id.
-func (e *Engine) finishJoinedMulti(sh *shard, id ID, item Item) Item {
-	sh.mu.Lock()
-	used := sh.consumeUnusedLocked(id)
-	sh.mu.Unlock()
-	if used {
-		sh.prefetchUsed.Add(1)
-	}
-	e.ctrl.Estimator().OnHit(cache.ID(id))
-	e.ctrl.RecordSize(item.Size)
-	return Item{ID: id, Size: item.Size, Data: item.Data}
 }
 
 // demandMerger is one backend's demand-dedup merge window
@@ -691,8 +560,7 @@ func (e *Engine) executeMergedBatch(ctx context.Context, b int, mids []ID, mfs [
 		}
 		e.demandBatch(ctx, b, chunk, out, errs, sc)
 		for i, id := range chunk {
-			f := mfs[start+i]
-			_, _ = e.completeDemand(e.shardFor(id), id, f, out[i], errs[i])
+			e.complete(id, mfs[start+i], out[i], errs[i], false)
 		}
 	}
 }

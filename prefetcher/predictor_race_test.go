@@ -171,8 +171,7 @@ func TestExternalPredictorCompatibilityPath(t *testing.T) {
 // TestExternalTopPredictorFastPath checks the bounded-prefix dispatch
 // for external predictors: when the plugin implements the public
 // TopPredictor, the hot path must call PredictTop (never the full
-// Predict), mirroring the internal ipredTop fast path in
-// observeAndPredictLocked.
+// Predict). pluginSeam makes that choice once, at New.
 func TestExternalTopPredictorFastPath(t *testing.T) {
 	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil

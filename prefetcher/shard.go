@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cache"
 )
 
 // counter is an atomic counter padded out to its own cache line, so
@@ -33,10 +31,9 @@ type counter struct {
 // counters are contention-safe atomics.
 //
 // Lock ordering: a goroutine holds at most one shard mutex at a time.
-// While holding it, it may take the estimator's stripe locks and the
-// engine's quiesce lock (shard → stripe, shard → qmu); nothing ever
-// takes a shard mutex while holding either of those, so the order is
-// acyclic. The shard's cache eviction callback runs synchronously from
+// While holding it, it may take the engine's quiesce lock (shard →
+// qmu) and no other; nothing ever takes a shard mutex while holding
+// qmu, so the order is acyclic. The shard's cache eviction callback runs synchronously from
 // Put — i.e. under this shard's mutex — and only touches this shard's
 // state, which is what makes per-shard caches (rather than one shared
 // instance) load-bearing for deadlock freedom.
@@ -53,7 +50,8 @@ type shard struct {
 	// hits can report it without refetching.
 	sizes map[ID]float64
 	// unused marks resident prefetched items not yet consumed by a
-	// demand request — the basis of the used/wasted accounting.
+	// demand request — the basis of the used/wasted accounting and of
+	// the §4 ĥ′ estimate, whose "untagged" entries are exactly these.
 	unused map[ID]struct{}
 
 	// Hot-path counters: cache-line-padded atomics, bumped without the
@@ -84,6 +82,57 @@ func newShard(c Cache) *shard {
 		sizes:    make(map[ID]float64, shardMapHint),
 		unused:   make(map[ID]struct{}, shardMapHint),
 	}
+}
+
+// hit is what a request served without a fetch of its own hands to
+// the accounting tail (landHit): the payload when boxed, its recorded
+// size, whether it consumed a prefetched-unused marker, and
+// ErrNotBytes when a byte-mode sink could not take the payload.
+type hit struct {
+	data any
+	size float64
+	used bool
+	err  error
+}
+
+// lookupLocked is the one hit lookup: when id is resident it lands the
+// payload in s — a ByteCache serves byte modes without boxing, the slab
+// view being stable only under the lock — and consumes id's unused
+// marker. A slab miss is not a cache miss: the entry may sit in the
+// store's boxed overflow, so byte modes fall back to the boxed lookup.
+// A resident payload the sink cannot take is still a hit, carrying
+// ErrNotBytes. ok is false when id is not resident. Called with sh.mu
+// held.
+//
+//prefetch:hotpath
+func (sh *shard) lookupLocked(id ID, s *sink) (r hit, ok bool) {
+	switch {
+	case s.mode == sinkBytes && sh.bcache != nil:
+		var out []byte
+		if out, ok = sh.bcache.GetBytes(id, s.buf); ok {
+			s.n, s.buf = len(out)-len(s.buf), out
+		}
+	case s.mode == sinkLen && sh.bcache != nil:
+		s.n, ok = sh.bcache.BytesLen(id)
+	}
+	if !ok {
+		if r.data, ok = sh.cache.Get(id); !ok {
+			return hit{}, false
+		}
+		r.err = s.land(r.data)
+	}
+	r.size = sh.residentSize(id)
+	r.used = sh.consumeUnusedLocked(id)
+	return r, true
+}
+
+// presentLocked reports whether id is resident or already in flight —
+// either way it needs no speculative fetch. Called with sh.mu held.
+//
+//prefetch:hotpath
+func (sh *shard) presentLocked(id ID) bool {
+	_, inflight := sh.inflight[id]
+	return inflight || sh.cache.Contains(id)
 }
 
 // consumeUnusedLocked clears id's prefetched-but-unused marker,
@@ -166,15 +215,14 @@ func (sh *shard) residentSize(id ID) float64 {
 }
 
 // onEvict wires one shard's cache eviction stream into the engine: the
-// live resident count is debited, the Section-4 estimator forgets the
-// tag, the size memo is dropped, and a prefetched-but-never-used entry
-// is charged as wasted. The callback runs synchronously from whichever
+// live resident count is debited, the size memo is dropped, and a
+// prefetched-but-never-used entry is charged as wasted (its unused
+// marker, the §4 estimator's untag, goes with it). The callback runs synchronously from whichever
 // cache call evicts — always under this shard's mutex, since every
 // cache call happens there.
 func (e *Engine) onEvict(sh *shard) func(ID) {
 	return func(id ID) {
 		e.residents.Add(-1)
-		e.ctrl.Estimator().OnEvict(cache.ID(id))
 		delete(sh.sizes, id)
 		if _, ok := sh.unused[id]; ok {
 			delete(sh.unused, id)

@@ -43,7 +43,7 @@ type Stats struct {
 	// Predictor names the engine's access model; PredictorLockFree
 	// reports whether it runs without the predictor compatibility mutex
 	// (it implements the ConcurrentPredictor contract) — false means
-	// every Get serialises on predMu and prediction caps throughput
+	// every Get serialises on that mutex and prediction caps throughput
 	// regardless of the shard count.
 	Predictor         string
 	PredictorLockFree bool
