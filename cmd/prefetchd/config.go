@@ -260,7 +260,12 @@ func (s *SpaceConfig) validate() error {
 	switch s.Policy {
 	case "", "adaptive-a", "adaptive-b", "greedy":
 		// These policies compute their threshold from ρ̂′ = λ̂·ŝ̄/B, so
-		// the space needs a link capacity to normalise against.
+		// the engine's global controller needs a link capacity to
+		// normalise against. That global ρ̂′ is what /stats reports as
+		// RhoPrime/Threshold; admission itself runs against each
+		// backend link's own ρ̂′, normalised by that backend's
+		// bandwidth — or, when it is unset (as on the flag-built
+		// backends), by the fabric's online size/latency estimate.
 		if s.Bandwidth <= 0 {
 			return fmt.Errorf("policy %q adapts to load and needs a positive bandwidth", s.Policy)
 		}

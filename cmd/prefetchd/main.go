@@ -45,7 +45,7 @@ func main() {
 		predictor   = flag.String("predictor", "markov", "access model: markov, lz, ppm, depgraph, popularity or none")
 		policy      = flag.String("policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none")
 		policyArg   = flag.Float64("policy-arg", 0, "policy parameter (static threshold or topk k)")
-		bandwidth   = flag.Float64("bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
+		bandwidth   = flag.Float64("bandwidth", 1e6, "space link capacity in payload-size units per second; normalises the global rho-prime and Threshold /stats reports. Admission runs per backend link, and the flag-built backends leave their bandwidth unset, so the fabric estimates it online from size/latency")
 		shards      = flag.Int("shards", 0, "engine shard count (0 = auto)")
 		workers     = flag.Int("workers", 0, "speculative worker count (0 = default)")
 		watermark   = flag.Float64("idle-watermark", 0, "park speculative fetches while link utilisation >= this (0 = off)")

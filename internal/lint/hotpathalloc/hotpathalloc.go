@@ -15,7 +15,7 @@
 //
 // Buffer provenance is tracked through local dataflow: reslicing,
 // field/element selection, range variables, and same-package helpers
-// that return pool-derived values (a getBufs-style accessor) all
+// that return pool-derived values (a getScratch-style accessor) all
 // inherit the pool/param discipline, so append into such buffers is
 // clean.
 //
@@ -392,7 +392,7 @@ func (c *checker) exprProv(prov map[types.Object]provenance, e ast.Expr) provena
 			}
 		}
 		// A same-package accessor that returns pool-derived values
-		// (getBufs, getRoute) propagates the pool discipline.
+		// (getScratch, getRoute) propagates the pool discipline.
 		if fn, ok := c.calleeObj(e).(*types.Func); ok && fn.Pkg() == pass.Pkg {
 			if fd, ok := c.decls[types.Object(fn)]; ok && c.returnsPooled(fd) {
 				return provPooled
@@ -414,7 +414,7 @@ func (c *checker) exprProv(prov map[types.Object]provenance, e ast.Expr) provena
 }
 
 // returnsPooled reports whether every return path of fd yields
-// pool-derived values — the getBufs/getRoute accessor shape. Memoised;
+// pool-derived values — the getScratch/getRoute accessor shape. Memoised;
 // recursion through mutually-calling accessors resolves conservatively
 // to false.
 func (c *checker) returnsPooled(fd *ast.FuncDecl) bool {

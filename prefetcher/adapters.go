@@ -12,13 +12,12 @@ import (
 // --- The engine's predictor seam ----------------------------------------
 
 // predictSeam is the engine's one view of its access model, chosen once
-// at New. observe feeds one request's id; observeSession feeds a
-// GetMulti session's ids as one linearised sequence — the stream N
-// singleton Gets would produce. Both return up to k candidates
-// conditioned on the last id, staged in the request's pooled buffers
-// (k == 0 observes only).
+// at New. observeSession feeds a request's ids as one linearised
+// sequence — the stream N singleton Gets would produce; a singleton is
+// the one-id case. It returns up to k candidates conditioned on the
+// last id, staged in the request's pooled buffers (k == 0 observes
+// only).
 type predictSeam interface {
-	observe(id ID, k int, bufs *candBufs) []predict.Prediction
 	observeSession(ids []ID, k int, bufs *candBufs) []predict.Prediction
 	// lockFree reports whether calls bypass the compatibility mutex
 	// (Stats.PredictorLockFree).
@@ -46,16 +45,12 @@ func newPredictSeam(p Predictor) predictSeam {
 // Gets exactly as for singleton requests.
 type coupledSeam struct{ p predict.CoupledPredictor }
 
-func (s coupledSeam) observe(id ID, k int, bufs *candBufs) []predict.Prediction {
-	return s.p.ObserveAndPredictTopInto(cache.ID(id), k, bufs.cands[:0])
-}
-
 func (s coupledSeam) observeSession(ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	last := len(ids) - 1
 	for _, id := range ids[:last] {
 		s.p.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
 	}
-	return s.observe(ids[last], k, bufs)
+	return s.p.ObserveAndPredictTopInto(cache.ID(ids[last]), k, bufs.cands[:0])
 }
 
 func (coupledSeam) lockFree() bool { return true }
@@ -87,11 +82,6 @@ func newPluginSeam(p Predictor) *pluginSeam {
 		s.top = func([]Prediction, int) []Prediction { return p.Predict() }
 	}
 	return s
-}
-
-func (s *pluginSeam) observe(id ID, k int, bufs *candBufs) []predict.Prediction {
-	ids := [1]ID{id}
-	return s.observeSession(ids[:], k, bufs)
 }
 
 func (s *pluginSeam) observeSession(ids []ID, k int, bufs *candBufs) []predict.Prediction {

@@ -162,8 +162,25 @@ func newHitEngine(tb testing.TB) (*Engine, []ID) {
 // every request misses a small cache (NoPrefetch isolates the miss
 // machinery from speculation), so each Get pays flight registration,
 // the origin fetch, cache admission and an eviction. The pooled
-// flights and recycled cache nodes keep this near allocation-free too.
+// flights and recycled cache nodes keep this allocation-free too; CI
+// asserts it as a hard test via TestGetHitAllocFree's miss case.
 func BenchmarkGetMiss(b *testing.B) {
+	eng, missID := newMissEngine(b)
+	defer eng.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Get(ctx, missID(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newMissEngine builds a single-shard engine whose small cache every
+// request of the returned id walk misses, warmed past the growth phase
+// of its maps, model and pools.
+func newMissEngine(tb testing.TB) (*Engine, func(i int) ID) {
 	fetch := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil
 	})
@@ -175,9 +192,8 @@ func BenchmarkGetMiss(b *testing.B) {
 		WithWorkers(1),
 	)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer eng.Close()
 	ctx := context.Background()
 	// A strided walk over an id space far larger than the cache: every
 	// id recurs (so the access model reaches steady state instead of
@@ -185,19 +201,12 @@ func BenchmarkGetMiss(b *testing.B) {
 	// request misses.
 	const space = 8192
 	missID := func(i int) ID { return ID((i * 97) % space) }
-	// Warm the maps, the model and the pools past their growth phase.
 	for i := 0; i < 2*space; i++ {
 		if _, err := eng.Get(ctx, missID(i)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Get(ctx, missID(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return eng, missID
 }
 
 // BenchmarkPredictTop measures the predictor hot path on its own: the

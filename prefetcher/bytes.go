@@ -44,7 +44,7 @@ type ByteRange struct {
 //prefetch:hotpath
 func (e *Engine) GetBytes(ctx context.Context, id ID, dst []byte) ([]byte, error) {
 	s := sink{mode: sinkBytes, buf: dst}
-	if _, err := e.get(ctx, id, &s); err != nil {
+	if _, err := e.getOne(ctx, id, &s); err != nil {
 		return dst, err
 	}
 	return s.buf, nil
@@ -59,7 +59,7 @@ func (e *Engine) GetBytes(ctx context.Context, id ID, dst []byte) ([]byte, error
 //prefetch:hotpath
 func (e *Engine) GetBytesLen(ctx context.Context, id ID) (int, error) {
 	s := sink{mode: sinkLen}
-	if _, err := e.get(ctx, id, &s); err != nil {
+	if _, err := e.getOne(ctx, id, &s); err != nil {
 		return 0, err
 	}
 	return s.n, nil
@@ -118,48 +118,21 @@ func (s *sink) land(v any) error {
 //
 //prefetch:hotpath
 func (e *Engine) GetMultiBytes(ctx context.Context, ids []ID, buf []byte, ranges []ByteRange) ([]byte, []ByteRange, error) {
-	buf, ranges = buf[:0], ranges[:0]
-	if err := ctx.Err(); err != nil {
-		return buf, ranges, err
-	}
-	if e.closed.Load() {
-		return buf, ranges, ErrClosed
-	}
-	if len(ids) == 0 {
-		return buf, ranges, nil
-	}
-	e.multiGets.Add(1)
-	now := e.now()
-	bufs := e.getBufs()
-	cands := e.pred.observeSession(ids, e.maxPrefetch, bufs)
-	sc := e.getMulti()
-	s := sink{mode: sinkBytes, buf: buf}
-	if misses := e.gatherMulti(ids, now, sc, &s); misses > 0 {
-		e.fetchMultiMisses(ctx, ids, sc)
-	}
-	nerr := 0
-	states := sc.states
-	for i := range ids {
-		st := &states[i]
-		if st.err == nil && !st.inBuf {
-			// Served by the miss path as an Item: unbox into the buffer.
-			st.off = len(s.buf)
-			st.err = s.land(st.item.Data)
-			st.blen = s.n
+	ranges = ranges[:0]
+	s := sink{mode: sinkBytes, buf: buf[:0]}
+	sc := e.getScratch()
+	err := e.session(ctx, ids, sc, &s)
+	if err == nil {
+		for i := range sc.keys {
+			k := &sc.keys[i]
+			r := ByteRange{Off: -1, Len: -1}
+			if k.err == nil {
+				r = ByteRange{Off: k.off, Len: k.blen}
+			}
+			ranges = append(ranges, r)
 		}
-		if st.err != nil {
-			ranges = append(ranges, ByteRange{Off: -1, Len: -1})
-			nerr++
-			continue
-		}
-		ranges = append(ranges, ByteRange{Off: st.off, Len: st.blen})
+		err = e.finishSession(ids, sc.keys)
 	}
-	var err error
-	if nerr > 0 {
-		err = buildMultiError(ids, states, nerr)
-	}
-	e.schedule(cands)
-	e.putMulti(sc)
-	e.putBufs(bufs)
+	e.putScratch(sc)
 	return s.buf, ranges, err
 }

@@ -40,13 +40,11 @@
 // are still filled in, and duplicate ids within a session are fetched
 // once. The predictor observes the session in request order exactly as
 // the equivalent Get loop would, with one speculative plan issued from
-// the session's last key. WithDemandCoalescing opens a short merge
-// window in which misses from concurrent sessions bound for the same
-// backend share one batch — off by default; the first contributing
-// session leads the window on its own goroutine, so the option adds no
-// background goroutine and Close/Quiesce cannot strand a window.
-// Stats.MultiGets, Stats.BatchedKeys and Stats.MergedSessions account
-// for the path.
+// the session's last key when at least one key was served. The session
+// is the engine's one request driver: Get, GetBytes and GetBytesLen run
+// through it as one-key sessions that return the key's own error.
+// Stats.MultiGets (GetMulti* calls only) and Stats.BatchedKeys account
+// for the session path.
 //
 // # Byte views and buffer ownership
 //
@@ -193,13 +191,12 @@
 //     speculative candidate onto the engine's queue while holding its
 //     own mutex. Everything else — the controller's history mutex, a
 //     plain predictor's compatibility mutex, the fabric's queue and
-//     backend-state locks, the demand-merge window's demandMerger.mu —
-//     is a leaf: no code acquires any lock while holding one of them,
+//     backend-state locks — is a leaf: no code acquires any lock while holding one of them,
 //     and no code acquires a shard mutex while holding any other lock.
 //     The §4 ĥ′ estimate needs no lock of its own: it is counted from
 //     the shard's unused bit, which the hit lookup reads under the
 //     shard mutex anyway. The batch path observes the same order by
-//     construction: gatherMulti holds at most one shard mutex at a
+//     construction: gather holds at most one shard mutex at a
 //     time (keys are grouped so each shard's classification completes
 //     before the next lock), and batch completion re-locks each key's
 //     shard individually. No function releases a lock its caller took:

@@ -90,8 +90,8 @@ type batchJob struct {
 	fids    []fetch.ID
 }
 
-// candBufs is the per-request scratch a Get borrows from the engine's
-// buffer pool: prediction candidates land in cands, and pub stages the
+// candBufs is the prediction part of a request's pooled scratch
+// (reqScratch): candidates land in cands, and pub stages the
 // public-type conversion for external predictors (pluginSeam). Pooling
 // these is what makes the predict step of the hot path allocation-free.
 type candBufs struct {
@@ -136,8 +136,11 @@ type Engine struct {
 	// predName is captured at New: Name() on a plain Predictor is only
 	// guaranteed safe under its compatibility mutex, and Stats must not
 	// take that lock.
-	predName    string
-	clock       Clock
+	predName string
+	clock    Clock
+	// sysClock records that clock is the default wall clock, whose
+	// readings now takes from the monotonic clock alone.
+	sysClock    bool
 	policy      prefetch.Policy
 	model       analytic.Model
 	ctrl        *prefetch.Controller
@@ -155,31 +158,21 @@ type Engine struct {
 	residents atomic.Int64
 
 	// flightPool recycles flight objects (and, when no joiner forced a
-	// close, their done channels); bufPool recycles the per-request
-	// candidate buffers; routePool recycles the fabric path's planning
-	// scratch and batchPool its coalesced batch jobs. Together they
-	// take the per-Get garbage on the hot paths to zero in steady
-	// state.
+	// close, their done channels); reqPool recycles the per-request
+	// scratch (candidate buffers and the session's gather/dispatch
+	// tables); routePool recycles the fabric path's planning scratch and
+	// batchPool its coalesced batch jobs. Together they take the per-Get
+	// garbage on the hot paths to zero in steady state.
 	flightPool sync.Pool
-	bufPool    sync.Pool
+	reqPool    sync.Pool
 	routePool  sync.Pool
 	batchPool  sync.Pool
-	// multiPool recycles GetMulti's per-session gather/dispatch scratch.
-	multiPool sync.Pool
-
-	// mergers is the demand-dedup merge machinery (WithDemandCoalescing):
-	// one merge window per backend, nil when coalescing is off. Each
-	// merger's mutex is a leaf in the engine's lock order — see doc.go.
-	mergers     []*demandMerger
-	mergeWindow time.Duration
-	mergeMax    int
 
 	// Session counters for the batched demand path (Stats.MultiGets,
-	// Stats.BatchedKeys, Stats.MergedSessions). Global atomics, not
-	// per-shard: a session spans shards by design.
-	multiGets      atomic.Int64
-	batchedKeys    atomic.Int64
-	mergedSessions atomic.Int64
+	// Stats.BatchedKeys). Global atomics, not per-shard: a session spans
+	// shards by design.
+	multiGets   atomic.Int64
+	batchedKeys atomic.Int64
 
 	closed atomic.Bool
 
@@ -250,6 +243,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		shards:      make([]*shard, cfg.shards),
 		shardShift:  uint(64 - bits.TrailingZeros(uint(cfg.shards))),
 	}
+	_, e.sysClock = cfg.clock.(systemClock)
 	e.flightPool.New = func() any {
 		f := &flight{}
 		f.refs.Store(1)
@@ -261,11 +255,13 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	if bufCap < 1 {
 		bufCap = 1
 	}
-	e.bufPool.New = func() any {
-		return &candBufs{
+	e.reqPool.New = func() any {
+		sc := &reqScratch{candBufs: candBufs{
 			cands: make([]predict.Prediction, 0, bufCap),
 			pub:   make([]Prediction, 0, bufCap),
-		}
+		}}
+		sc.keys = sc.key1[:0]
+		return sc
 	}
 	for i := range e.shards {
 		var c Cache
@@ -318,18 +314,6 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	if e.fetcher != nil {
 		e.batchFetcher, _ = e.fetcher.(BatchFetcher)
 	}
-	e.multiPool.New = func() any { return &multiScratch{} }
-	if cfg.mergeWindow > 0 {
-		nb := 1
-		if e.fabric != nil {
-			nb = e.fabric.NumBackends()
-		}
-		e.mergeWindow, e.mergeMax = cfg.mergeWindow, cfg.mergeMax
-		e.mergers = make([]*demandMerger, nb)
-		for i := range e.mergers {
-			e.mergers[i] = &demandMerger{full: make(chan struct{}, 1)}
-		}
-	}
 	for i := 0; i < cfg.workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -337,8 +321,16 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// now returns the clock reading as seconds since the engine's epoch.
-func (e *Engine) now() float64 { return e.clock.Now().Sub(e.epoch).Seconds() }
+// now returns the clock reading as seconds since the engine's epoch. On
+// the default wall clock it reads only the monotonic clock
+// (time.Since), which is all the difference uses: one clock read per
+// call instead of a wall and a monotonic one.
+func (e *Engine) now() float64 {
+	if e.sysClock {
+		return time.Since(e.epoch).Seconds()
+	}
+	return e.clock.Now().Sub(e.epoch).Seconds()
+}
 
 // newFlight draws a flight from the pool, giving it a fresh done
 // channel only when the previous use consumed one (a joiner forced a
@@ -371,17 +363,14 @@ func (e *Engine) releaseFlight(f *flight) {
 	e.flightPool.Put(f)
 }
 
-// getBufs borrows the per-request candidate scratch from the pool.
-func (e *Engine) getBufs() *candBufs { return e.bufPool.Get().(*candBufs) }
-
-func (e *Engine) putBufs(b *candBufs) { e.bufPool.Put(b) }
-
 // Get serves one demand request: it records the request with the online
 // estimators, returns the item from cache or fetches it (joining an
 // in-flight speculative fetch for the same id if one is pending), then
 // dispatches speculative fetches for every prediction the policy admits
 // at the current threshold. ctx bounds only this call's demand fetch or
 // join wait; speculative fetches run under the engine's own context.
+// It is the one-key session of the request driver behind GetMulti, but
+// returns the key's own error, never a *MultiError.
 //
 // The cache-hit path is allocation-free: prediction candidates land in
 // a pooled buffer, the critical section touches only the shard's maps,
@@ -391,80 +380,7 @@ func (e *Engine) putBufs(b *candBufs) { e.bufPool.Put(b) }
 //prefetch:hotpath
 func (e *Engine) Get(ctx context.Context, id ID) (Item, error) {
 	var s sink
-	return e.get(ctx, id, &s)
-}
-
-// get is the one singleton request pipeline behind Get, GetBytes and
-// GetBytesLen, which differ only in the sink a hit lands in: observe
-// and predict, serve id, and plan speculation once the request is
-// served.
-//
-//prefetch:hotpath
-func (e *Engine) get(ctx context.Context, id ID, s *sink) (Item, error) {
-	if err := ctx.Err(); err != nil {
-		return Item{}, err
-	}
-	if e.closed.Load() {
-		return Item{}, ErrClosed
-	}
-	now := e.now()
-	bufs := e.getBufs()
-	cands := e.pred.observe(id, e.maxPrefetch, bufs)
-	item, err := e.serve(ctx, id, now, cands, s)
-	// Nothing retains cands past dispatch (jobs carry ids, not
-	// candidate slices), so the scratch goes straight back.
-	e.putBufs(bufs)
-	return item, err
-}
-
-// serve runs the shard-level part of one request: the hit path under a
-// single critical section, else miss dedup (join or claim) and the
-// fetch. A served request plans its candidates even when its payload
-// then fails the sink (ErrNotBytes): the access happened.
-func (e *Engine) serve(ctx context.Context, id ID, now float64, cands []predict.Prediction, s *sink) (Item, error) {
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	if e.closed.Load() {
-		sh.mu.Unlock()
-		return Item{}, ErrClosed
-	}
-	if r, ok := sh.lookupLocked(id, s); ok {
-		sh.mu.Unlock()
-		e.landHit(sh, id, now, r, true)
-		e.schedule(cands)
-		return Item{ID: id, Size: r.size, Data: r.data}, r.err
-	}
-
-	// Miss: join the in-flight fetch for id if one exists, else claim
-	// the demand fetch by registering our own flight — in the same
-	// critical section as the lookup, so dedup cannot race a
-	// completion.
-	f, owner := sh.joinOrRegister(e, id)
-	sh.mu.Unlock()
-
-	// Record the arrival immediately, before any fetch is attempted: a
-	// demand fetch that errors (or a joiner whose context expires) is
-	// still an arrival, and skipping it would let λ̂ and the
-	// controller's request count drift from Stats.Requests under origin
-	// failures. The size is unknown here; the fetch paths fold it into
-	// ŝ̄ via RecordSize once the origin responds.
-	sh.requests.Add(1)
-	sh.misses.Add(1)
-	e.ctrl.RecordRequest(now, 0)
-
-	var item Item
-	var err error
-	if owner {
-		item, err = e.demandFetch(ctx, id, f)
-	} else {
-		sh.joins.Add(1) // one count per request, however many flights it retries
-		item, err = e.awaitJoined(ctx, sh, id, f, true)
-	}
-	if err != nil {
-		return Item{}, err
-	}
-	e.schedule(cands)
-	return item, s.land(item.Data)
+	return e.getOne(ctx, id, &s)
 }
 
 // landHit is the one accounting tail for a request served without a
@@ -535,23 +451,19 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 }
 
 // awaitJoined is the engine's one join-retry loop: it waits out a
-// request attached to an in-flight fetch — another request's flight,
-// or a GetMulti session's own merged flight, which emits no join event
-// until it retries as a plain join. A resolved flight serves the
-// request, consuming the unused marker a speculative flight landed
-// with. When the flight fails or is
+// request attached to another request's in-flight fetch. A resolved
+// flight serves the request, consuming the unused marker a speculative
+// flight landed with. When the flight fails or is
 // dropped the request re-checks the shard under its lock, because
 // while it waited another request may have cached the item or
 // registered a fresh flight, and overwriting that flight would break
 // dedup; only when neither holds does it demand-fetch itself. The
 // payload is returned boxed, and the arrival was recorded by the
 // caller when the miss was established.
-func (e *Engine) awaitJoined(ctx context.Context, sh *shard, id ID, f *flight, emitJoin bool) (Item, error) {
+func (e *Engine) awaitJoined(ctx context.Context, sh *shard, id ID, f *flight) (Item, error) {
 	var boxed sink
 	for {
-		if emitJoin {
-			e.emit(Event{Type: EventJoin, ID: id})
-		}
+		e.emit(Event{Type: EventJoin, ID: id})
 		item, err, resolved := e.awaitFlight(ctx, f)
 		if resolved && err != nil {
 			return Item{}, err
@@ -578,7 +490,6 @@ func (e *Engine) awaitJoined(ctx context.Context, sh *shard, id ID, f *flight, e
 		if owner {
 			return e.demandFetch(ctx, id, f)
 		}
-		emitJoin = true
 	}
 }
 
@@ -618,11 +529,8 @@ func (e *Engine) complete(id ID, f *flight, item Item, err error, spec bool) (It
 	}
 	sh.mu.Lock()
 	if err == nil {
-		sh.sizes[id] = item.Size
+		sh.entries[id] = entry{size: item.Size, unused: spec}
 		e.putCache(sh, id, item.Data)
-		if spec {
-			sh.unused[id] = struct{}{}
-		}
 		f.item = item
 	}
 	sh.resolveLocked(id, f, err)
@@ -839,7 +747,6 @@ func (e *Engine) Stats() Stats {
 	s.CacheLen = int(e.residents.Load())
 	s.MultiGets = e.multiGets.Load()
 	s.BatchedKeys = e.batchedKeys.Load()
-	s.MergedSessions = e.mergedSessions.Load()
 	if e.fabric != nil {
 		s.Backends = e.fabric.Stats(e.now())
 		for _, b := range s.Backends {

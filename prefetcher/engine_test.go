@@ -423,6 +423,69 @@ func TestFailedFetchAccounting(t *testing.T) {
 	}
 }
 
+// TestPlanningNeedsAServedKey pins when a request plans speculation:
+// only when at least one of its keys was served. A Get whose fetch
+// failed — like a GetMulti whose every key failed — accessed nothing
+// and issues no prefetch; a partially failed GetMulti still plans, from
+// its last id.
+func TestPlanningNeedsAServedKey(t *testing.T) {
+	cases := []struct {
+		name   string
+		call   func(ctx context.Context, eng *Engine) error
+		issued int64
+	}{
+		{"Get failed", func(ctx context.Context, eng *Engine) error {
+			_, err := eng.Get(ctx, 1)
+			return err
+		}, 0},
+		{"GetMulti all failed", func(ctx context.Context, eng *Engine) error {
+			_, err := eng.GetMulti(ctx, []ID{1})
+			return err
+		}, 0},
+		{"GetMulti partly failed", func(ctx context.Context, eng *Engine) error {
+			_, err := eng.GetMulti(ctx, []ID{3, 1})
+			return err
+		}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fetcher := newMemFetcher()
+			eng, err := New(fetcher,
+				WithBandwidth(1e6),
+				WithShards(1),
+				WithWorkers(1),
+				WithCache(NewLRUCache(1)),
+				WithPolicy(TopK(1)),
+				WithMaxPrefetch(1),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+			// Train 1→2→3; the one-item cache then holds only 3, so the
+			// candidate 2 that id 1 predicts needs a fetch.
+			for _, id := range []ID{1, 2, 3} {
+				if _, err := eng.Get(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fetcher.mu.Lock()
+			fetcher.fail[1] = errors.New("origin down")
+			fetcher.mu.Unlock()
+			if err := c.call(ctx, eng); err == nil {
+				t.Fatal("expected id 1 to fail")
+			}
+			if err := eng.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Stats().PrefetchIssued; got != c.issued {
+				t.Fatalf("PrefetchIssued = %d, want %d", got, c.issued)
+			}
+		})
+	}
+}
+
 // TestPrewarmedCacheSize pins the bugfix for hits on entries the engine
 // never fetched: a user-supplied cache already holding items must serve
 // them with the fetch-path default size 1, not 0, and feed ŝ̄.

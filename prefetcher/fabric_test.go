@@ -394,6 +394,69 @@ func TestEngineBatchesAdjacentCandidates(t *testing.T) {
 	}
 }
 
+// reversingBackend breaks the FetchBatch contract: its batch reply
+// carries every requested item, in reverse order.
+type reversingBackend struct{}
+
+func (reversingBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
+	return fetch.Item{ID: id, Size: 1, Data: ID(id)}, nil
+}
+
+func (b reversingBackend) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
+	out := make([]fetch.Item, len(ids))
+	for i, id := range ids {
+		out[len(ids)-1-i], _ = b.Fetch(ctx, id)
+	}
+	return out, nil
+}
+
+// TestSpeculativeBatchMisorderedReply: a speculative batch whose reply
+// is misordered must fail whole — every id a prefetch error, nothing
+// cached — rather than cache items[i] under ids[i], which would serve
+// one key's payload for another.
+func TestSpeculativeBatchMisorderedReply(t *testing.T) {
+	eng, err := New(nil,
+		WithBandwidth(1e6),
+		WithPolicy(TopK(2)),
+		WithMaxPrefetch(2),
+		WithCache(NewLRUCache(3)),
+		WithBackends(fetch.Backend{Name: "reversing", Fetcher: reversingBackend{}}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	get := func(id ID) Item {
+		t.Helper()
+		item, err := eng.Get(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return item
+	}
+	// 100→200 and 100→300 train two candidates for 100; by the time 100
+	// recurs both have been evicted, so one two-id batch fetches them.
+	for _, id := range []ID{100, 200, 100, 300, 400, 500, 600, 100} {
+		get(id)
+	}
+	st := eng.Stats()
+	if st.Backends[0].BatchCalls != 1 {
+		t.Fatalf("batch calls = %d, want 1", st.Backends[0].BatchCalls)
+	}
+	for _, id := range []ID{200, 300} {
+		if item := get(id); item.Data != id {
+			t.Fatalf("Get(%d) served %v's payload", id, item.Data)
+		}
+	}
+	if st.PrefetchErrors != 2 {
+		t.Fatalf("PrefetchErrors = %d, want 2 (the misordered batch fails whole)", st.PrefetchErrors)
+	}
+}
+
 // TestFabricEngineLifecycleRace hammers Get/Stats/Quiesce across
 // shards while backends hedge and the gate defers, then closes — the
 // -race lifecycle test for the fabric path.

@@ -806,16 +806,7 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 	items, err := b.batch.FetchBatch(actx, ids)
 	acancel()
 	if err == nil {
-		if len(items) != len(ids) {
-			err = fmt.Errorf("fetch: backend %q returned %d items for a %d-id demand batch", b.cfg.Name, len(items), len(ids))
-		} else {
-			for i, it := range items {
-				if it.ID != ids[i] {
-					err = fmt.Errorf("fetch: backend %q returned id %d at position %d of a demand batch (want %d)", b.cfg.Name, it.ID, i, ids[i])
-					break
-				}
-			}
-		}
+		err = checkBatchReply(b, "demand", ids, items)
 	}
 	var total Item
 	if err == nil {
@@ -838,6 +829,22 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 	for i := range ids {
 		errs[i] = nil
 	}
+}
+
+// checkBatchReply enforces the FetchBatch contract on a reply: exactly
+// one Item per requested id, in request order. Both batch paths apply
+// it before trusting a reply, since the engine lands items[i] under
+// ids[i]; kind names the batch in the error.
+func checkBatchReply(b *backendState, kind string, ids []ID, items []Item) error {
+	if len(items) != len(ids) {
+		return fmt.Errorf("fetch: backend %q returned %d items for a %d-id %s batch", b.cfg.Name, len(items), len(ids), kind)
+	}
+	for i, it := range items {
+		if it.ID != ids[i] {
+			return fmt.Errorf("fetch: backend %q returned id %d at position %d of a %s batch (want %d)", b.cfg.Name, it.ID, i, kind, ids[i])
+		}
+	}
+	return nil
 }
 
 // demandFallback serves a demand batch key by key through the full
@@ -889,7 +896,8 @@ func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item
 // one backend as a single FetchBatch call when the backend supports
 // it, falling back to sequential single fetches otherwise. On success
 // the returned slice has exactly one Item per id, in id order; an
-// error fails the whole batch.
+// error — the backend's own, or a short or misordered reply — fails
+// the whole batch.
 func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID) ([]Item, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
@@ -920,8 +928,8 @@ func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []I
 	actx, acancel := attemptCtx(ctx, b.cfg.SpeculativeTimeout)
 	items, err := b.batch.FetchBatch(actx, ids)
 	acancel()
-	if err == nil && len(items) != len(ids) {
-		err = fmt.Errorf("fetch: backend %q returned %d items for a %d-id batch", b.cfg.Name, len(items), len(ids))
+	if err == nil {
+		err = checkBatchReply(b, "speculative", ids, items)
 	}
 	var total Item
 	if err == nil {

@@ -320,118 +320,6 @@ func TestGetMultiVsSingletonRace(t *testing.T) {
 	}
 }
 
-// TestGetMultiMergeWindow exercises WithDemandCoalescing end to end:
-// concurrent sessions contributing inside one window are merged into
-// shared backend batches with per-key completion, nothing double-
-// fetches, and the merged-session counter moves.
-func TestGetMultiMergeWindow(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithDemandCoalescing(150*time.Millisecond, 8))
-	defer eng.Close()
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	sessions := [][]ID{{10, 11, 12, 13}, {20, 21, 22, 23}}
-	for _, ids := range sessions {
-		wg.Add(1)
-		go func(ids []ID) {
-			defer wg.Done()
-			<-start
-			items, err := eng.GetMulti(ctx, ids)
-			if err != nil {
-				t.Errorf("GetMulti(%v): %v", ids, err)
-				return
-			}
-			for i := range items {
-				if items[i].ID != ids[i] {
-					t.Errorf("merged session served wrong item at %d: %+v", i, items[i])
-					return
-				}
-			}
-		}(ids)
-	}
-	close(start)
-	wg.Wait()
-	for _, ids := range sessions {
-		for _, id := range ids {
-			if n := cf.count(id); n != 1 {
-				t.Fatalf("key %d fetched %d times through the merge window, want 1", id, n)
-			}
-		}
-	}
-	// Both sessions raced into the window: either one led and one was
-	// merged (a single 8-key batch) or they led successive windows. The
-	// merge machinery must never fetch more batches than sessions.
-	if b := cf.batches(); b < 1 || b > len(sessions) {
-		t.Fatalf("merge window dispatched %d batches for %d sessions", b, len(sessions))
-	}
-	if st := eng.Stats(); st.MergedSessions > int64(len(sessions)-1) {
-		t.Fatalf("Stats.MergedSessions = %d with %d sessions", st.MergedSessions, len(sessions))
-	}
-}
-
-// TestGetMultiCloseDuringMergeWindow opens a merge window and closes
-// the engine while the leader is still waiting in it: the leader must
-// wake on the engine's lifecycle context, every session key must get a
-// definite outcome, and no goroutine may leak.
-func TestGetMultiCloseDuringMergeWindow(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithDemandCoalescing(30*time.Second, 64))
-	ctx := context.Background()
-
-	done := make(chan error, 1)
-	go func() {
-		// The window is far longer than the test: without the close
-		// wake-up this session would hang until the timer fired.
-		_, err := eng.GetMulti(ctx, []ID{10, 11, 12})
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the leader enter its window
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		// The leader drains its window on close; the fetches themselves
-		// still run (demand fetches complete under their callers'
-		// contexts), so success and per-key ErrClosed are both sound.
-		var me *MultiError
-		if err != nil && !errors.As(err, &me) && !errors.Is(err, ErrClosed) {
-			t.Fatalf("session after close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("GetMulti still blocked in the merge window after Close")
-	}
-}
-
-// TestGetMultiQuiesceDuringMergeWindow: Quiesce waits only speculative
-// work, so an open merge window (demand work) must not block it.
-func TestGetMultiQuiesceDuringMergeWindow(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithDemandCoalescing(300*time.Millisecond, 64))
-	defer eng.Close()
-	ctx := context.Background()
-
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		if _, err := eng.GetMulti(ctx, []ID{10, 11}); err != nil {
-			t.Errorf("GetMulti: %v", err)
-		}
-	}()
-	time.Sleep(30 * time.Millisecond) // leader is now waiting in the window
-	qctx, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	if err := eng.Quiesce(qctx); err != nil {
-		t.Fatalf("Quiesce blocked on an open merge window: %v", err)
-	}
-	<-released
-}
-
 // recordingPredictor is a plain (mutex-path) predictor that records
 // the observation stream it sees.
 type recordingPredictor struct {

@@ -21,11 +21,11 @@ type counter struct {
 
 // shard is one partition of the engine's keyed hot-path state. Every ID
 // maps to exactly one shard (shardFor), and everything guarded by mu —
-// the cache, the in-flight table, the size and unused-prefetch maps —
-// is only ever touched while holding that shard's mutex, so requests
-// for keys in different shards never contend. The counters are padded
-// atomics bumped outside the mutex: a Get's critical section is just
-// the cache/in-flight/size-map touches. The estimates that must stay
+// the cache, the in-flight table, the per-entry size and unused-prefetch
+// records — is only ever touched while holding that shard's mutex, so
+// requests for keys in different shards never contend. The counters are
+// padded atomics bumped outside the mutex: a Get's critical section is
+// just the cache/in-flight/entry-map touches. The estimates that must stay
 // globally consistent (λ̂, ŝ̄, ĥ′, n̄(F) and hence the threshold) live
 // outside the shards, in the engine's shared prefetch.Controller, whose
 // counters are contention-safe atomics.
@@ -44,15 +44,14 @@ type shard struct {
 	// bcache is cache when it additionally implements ByteCache (the
 	// slab-backed byte store does), nil otherwise; the GetBytes fast
 	// path type-asserts once at construction instead of per request.
-	bcache   ByteCache
+	bcache ByteCache
+	// inflight is kept apart from entries: it is short-lived and holds
+	// pointers, and folding it in would make the GC scan the whole
+	// resident map.
 	inflight map[ID]*flight
-	// sizes remembers the last fetched size of each resident item so
-	// hits can report it without refetching.
-	sizes map[ID]float64
-	// unused marks resident prefetched items not yet consumed by a
-	// demand request — the basis of the used/wasted accounting and of
-	// the §4 ĥ′ estimate, whose "untagged" entries are exactly these.
-	unused map[ID]struct{}
+	// entries holds one pointer-free record per resident item (see
+	// entry), so a hit is one map probe and an eviction one delete.
+	entries map[ID]entry
 
 	// Hot-path counters: cache-line-padded atomics, bumped without the
 	// shard mutex and summed wait-free by Stats. Each request bumps
@@ -67,10 +66,20 @@ type shard struct {
 	inflightN counter
 }
 
+// entry is a resident item's record in its shard. size is the item's
+// last fetched size, so hits can report it without refetching. unused
+// marks a prefetched item not yet consumed by a demand request — the
+// basis of the used/wasted accounting and of the §4 ĥ′ estimate, whose
+// "untagged" entries are exactly these.
+type entry struct {
+	size   float64
+	unused bool
+}
+
 // shardMapHint pre-sizes the per-shard maps so the first requests do
 // not pay incremental map growth: the in-flight table stays small (it
-// is bounded by concurrent fetches per shard), while sizes/unused grow
-// toward the shard's cache capacity and reach steady state quickly.
+// is bounded by concurrent fetches per shard), while entries grows
+// toward the shard's cache capacity and reaches steady state quickly.
 const shardMapHint = 64
 
 func newShard(c Cache) *shard {
@@ -79,8 +88,7 @@ func newShard(c Cache) *shard {
 		cache:    c,
 		bcache:   bc,
 		inflight: make(map[ID]*flight, shardMapHint),
-		sizes:    make(map[ID]float64, shardMapHint),
-		unused:   make(map[ID]struct{}, shardMapHint),
+		entries:  make(map[ID]entry, shardMapHint),
 	}
 }
 
@@ -97,9 +105,11 @@ type hit struct {
 
 // lookupLocked is the one hit lookup: when id is resident it lands the
 // payload in s — a ByteCache serves byte modes without boxing, the slab
-// view being stable only under the lock — and consumes id's unused
-// marker. A slab miss is not a cache miss: the entry may sit in the
-// store's boxed overflow, so byte modes fall back to the boxed lookup.
+// view being stable only under the lock — then reads id's recorded
+// size and consumes its unused marker, in one probe of the entry map
+// unless the record has to be written back. A slab miss is not a cache
+// miss: the entry may sit in the store's boxed overflow, so byte modes
+// fall back to the boxed lookup.
 // A resident payload the sink cannot take is still a hit, carrying
 // ErrNotBytes. ok is false when id is not resident. Called with sh.mu
 // held.
@@ -121,8 +131,19 @@ func (sh *shard) lookupLocked(id ID, s *sink) (r hit, ok bool) {
 		}
 		r.err = s.land(r.data)
 	}
-	r.size = sh.residentSize(id)
-	r.used = sh.consumeUnusedLocked(id)
+	en, recorded := sh.entries[id]
+	if !recorded || en.unused {
+		// A prewarmed entry the engine never fetched gets the fetch
+		// paths' default size 1, memoised so ŝ̄ and repeated hits see a
+		// consistent value; a prefetched entry's first use clears its
+		// marker.
+		if !recorded {
+			en.size = 1
+		}
+		r.used = en.unused
+		sh.entries[id] = entry{size: en.size}
+	}
+	r.size = en.size
 	return r, true
 }
 
@@ -141,11 +162,12 @@ func (sh *shard) presentLocked(id ID) bool {
 //
 //prefetch:hotpath
 func (sh *shard) consumeUnusedLocked(id ID) bool {
-	if _, ok := sh.unused[id]; ok {
-		delete(sh.unused, id)
-		return true
+	en, ok := sh.entries[id]
+	if !ok || !en.unused {
+		return false
 	}
-	return false
+	sh.entries[id] = entry{size: en.size}
+	return true
 }
 
 // shardFor routes an id to its owning shard. The multiplicative hash
@@ -198,24 +220,8 @@ func (e *Engine) putCache(sh *shard, id ID, data any) {
 	}
 }
 
-// residentSize returns the recorded size of a resident item, defaulting
-// to 1 — the same default the fetch paths apply — for entries the engine
-// never fetched itself, e.g. items already present in a user-supplied
-// prewarmed cache. The fallback is memoised so ŝ̄ and repeated hits see
-// a consistent value. Called with sh.mu held.
-//
-//prefetch:hotpath
-func (sh *shard) residentSize(id ID) float64 {
-	size, ok := sh.sizes[id]
-	if !ok {
-		size = 1
-		sh.sizes[id] = size
-	}
-	return size
-}
-
 // onEvict wires one shard's cache eviction stream into the engine: the
-// live resident count is debited, the size memo is dropped, and a
+// live resident count is debited, the entry record is dropped, and a
 // prefetched-but-never-used entry is charged as wasted (its unused
 // marker, the §4 estimator's untag, goes with it). The callback runs synchronously from whichever
 // cache call evicts — always under this shard's mutex, since every
@@ -223,10 +229,9 @@ func (sh *shard) residentSize(id ID) float64 {
 func (e *Engine) onEvict(sh *shard) func(ID) {
 	return func(id ID) {
 		e.residents.Add(-1)
-		delete(sh.sizes, id)
-		if _, ok := sh.unused[id]; ok {
-			delete(sh.unused, id)
+		if sh.entries[id].unused {
 			sh.prefetchWasted.Add(1)
 		}
+		delete(sh.entries, id)
 	}
 }
